@@ -47,6 +47,14 @@ class Param:
 
 _BETA = Param("beta", float, help="one-photon amplitude |beta| of the source state")
 _PHI = Param("phi", float, 0.0, help="relative phase of the one-photon amplitude")
+_BUDGET_SOURCE = (
+    Param("collection", float, help="collection efficiency into the LO spatial mode"),
+    Param("preset", str, "custom", help="emitter preset name, or 'custom'"),
+    Param("lifetime-ns", float, 230.0, help="emitter lifetime in nanoseconds"),
+    Param("beta", float, 0.5, help="one-photon amplitude of the source"),
+    Param("rel-phase", float, 0.0, help="relative phase of the source"),
+    Param("detector", float, 1.0, help="detector quantum efficiency"),
+)
 
 SCHEMAS: dict[str, list[Param]] = {
     "variance": [
@@ -84,22 +92,12 @@ SCHEMAS: dict[str, list[Param]] = {
         Param("seed", int, help="RNG seed (required for stochastic commands)"),
     ],
     "budget": [
-        Param("collection", float, help="collection efficiency into the LO spatial mode"),
-        Param("preset", str, "custom", help="emitter preset name, or 'custom'"),
-        Param("lifetime-ns", float, 230.0, help="emitter lifetime in nanoseconds"),
-        Param("beta", float, 0.5, help="one-photon amplitude of the source"),
-        Param("rel-phase", float, 0.0, help="relative phase of the source"),
-        Param("detector", float, 1.0, help="detector quantum efficiency"),
+        *_BUDGET_SOURCE,
         Param("lo-rate-factor", float, 1.0, help="LO amplitude decay rate in units of gamma/2"),
         Param("window-lifetimes", float, math.inf, help="LO window in lifetimes (inf = untruncated)"),
     ],
     "window-sweep": [
-        Param("collection", float, help="collection efficiency into the LO spatial mode"),
-        Param("preset", str, "custom", help="emitter preset name, or 'custom'"),
-        Param("lifetime-ns", float, 230.0, help="emitter lifetime in nanoseconds"),
-        Param("beta", float, 0.5, help="one-photon amplitude of the source"),
-        Param("rel-phase", float, 0.0, help="relative phase of the source"),
-        Param("detector", float, 1.0, help="detector quantum efficiency"),
+        *_BUDGET_SOURCE,
         Param("min-lifetimes", float, 0.5, help="shortest LO window in lifetimes"),
         Param("max-lifetimes", float, 10.0, help="longest LO window in lifetimes"),
         Param("steps", int, 20, help="number of windows"),

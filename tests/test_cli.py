@@ -2,8 +2,10 @@
 
 import json
 import math
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -254,6 +256,25 @@ def test_budget_rejects_preset_lifetime_conflict(tmp_path, capsys):
     assert capsys.readouterr().err.startswith("error: parameter:")
 
 
+def test_budget_tiny_lo_rate_untruncated(tmp_path):
+    text = _run_to_text(
+        ["budget", "--collection", "0.9", "--lo-rate-factor", "1e-300"], tmp_path, "tiny.json"
+    )
+    res = json.loads(text)["result"]
+    # 4 a b / (a + b)^2 with b / a = 1e-300
+    assert abs(res["eta_overlap"] - 4e-300) <= 1e-12 * 4e-300
+
+
+def test_budget_tiny_lo_rate_truncated(tmp_path):
+    text = _run_to_text(
+        ["budget", "--collection", "0.9", "--lo-rate-factor", "1e-300", "--window-lifetimes", "5"],
+        tmp_path, "tiny-window.json",
+    )
+    res = json.loads(text)["result"]
+    # a flat LO on [0, 5 tau] against e^{-t / (2 tau)}
+    assert abs(res["eta_overlap"] - 0.8 * (1.0 - math.exp(-2.5)) ** 2) < 1e-12
+
+
 # ------------------------------------------------------------- determinism
 
 CASES = [
@@ -356,6 +377,15 @@ def test_numeric_failures_exit_3(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: data:")
 
 
+def test_non_finite_wigner_grid_exits_3(capsys):
+    argv = ["wigner", "--beta", "0.5", "--range", "1e200", "--res", "16", "--format", "json"]
+    with np.errstate(invalid="ignore", over="ignore"):
+        assert cli.main(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: state:")
+
+
 def test_unsupported_regime_exits_2(monkeypatch, capsys):
     def unsupported(params, explicit):
         raise NotSupported("detuned evolution")
@@ -372,3 +402,12 @@ def test_module_entry_point_runs():
     )
     assert proc.returncode == 0
     assert '"variance_x1": 0.1875' in proc.stdout
+
+
+def test_cli_import_loads_no_scipy():
+    src_dir = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, atomsqueeze.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -4,8 +4,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import integrate
 
-from atomsqueeze import modes
+from atomsqueeze import fock, modes, superposition
 from atomsqueeze.errors import InvalidParameter, InvalidState
 from atomsqueeze.modes import EmitterParams, TemporalMode
 from atomsqueeze.superposition import SuperpositionSpec
@@ -116,6 +117,29 @@ def test_double_rate_lo_overlap_limit():
     assert abs(modes.mode_overlap(em, fast) - 8.0 / 9.0) < 1e-9
 
 
+def _quad_overlap(mode_a, mode_b):
+    """|<f_a, f_b>|^2 by adaptive quadrature, time measured in units of 1/(a + b)."""
+    scale = mode_a.rate + mode_b.rate
+    upper = min(mode_a.window, mode_b.window) * scale
+
+    def integrand(u):
+        return mode_a.amplitude(u / scale) * mode_b.amplitude(u / scale)
+
+    val, _ = integrate.quad(integrand, 0.0, upper, epsabs=1e-13, epsrel=1e-13, limit=200)
+    return (val / scale) ** 2
+
+
+def test_closed_form_overlap_matches_quadrature_oracle():
+    gamma = 1.0 / TAU
+    lifetimes = (0.1, 1.0, 5.0, 20.0, math.inf)
+    for ratio in (0.01, 0.3, 1.0, 2.0, 7.0):
+        for wa in lifetimes:
+            em = modes.exponential_mode(gamma / 2.0, wa * TAU)
+            for wb in lifetimes:
+                lo = modes.exponential_mode(ratio * gamma / 2.0, wb * TAU)
+                assert abs(modes.mode_overlap(em, lo) - _quad_overlap(em, lo)) < 1e-12
+
+
 def test_matched_overlap_validation():
     with pytest.raises(InvalidParameter):
         modes.matched_overlap(0.0, 1.0)
@@ -186,6 +210,18 @@ def test_detected_squeezing_with_detector_efficiency():
     assert abs(budget.eta_total - 0.9 * budget.eta_overlap * 0.8) < 1e-12
     with pytest.raises(InvalidParameter):
         modes.detected_squeezing(OPTIMAL, 1.3, em, modes.lo_mode(1.0, 4.0))
+
+
+def test_detected_variance_matches_explicit_loss_channel():
+    # the scalar budget V -> eta V + (1 - eta)/4 against the Kraus channel on the actual state
+    em = modes.emitted_mode(1.0)
+    for beta, phase in ((0.5, 0.0), (0.3, 1.1), (math.sqrt(1.0 / 3.0), -2.0), (0.9, 0.4)):
+        src = SuperpositionSpec(beta_abs=beta, rel_phase=phase)
+        rho = fock.to_density(superposition.make_superposition(src))
+        for window, ec, ed in ((0.5, 0.94, 1.0), (5.0, 0.6, 0.8), (math.inf, 1.0, 1.0)):
+            budget = modes.detected_squeezing(src, ec, em, modes.exponential_mode(0.5, window), ed)
+            v_channel = fock.quadrature_stats(fock.apply_loss(rho, budget.eta_total), phase).variance
+            assert abs(v_channel - budget.detected_variance) <= 1e-12
 
 
 def test_more_transmission_never_hurts_a_squeezed_source():

@@ -4,8 +4,8 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
-from scipy.special import eval_hermite
+from scipy import integrate, ndimage
+from scipy.special import eval_genlaguerre, eval_hermite
 
 from atomsqueeze import fock, superposition, wigner
 from atomsqueeze.errors import InvalidParameter
@@ -51,6 +51,24 @@ def _transform_oracle(amplitudes, x, p):
     im, _ = integrate.quad(integrand_im, -8.0, 8.0, limit=200)
     assert abs(im) < 1e-12  # W is real
     return TWO_OVER_PI * re
+
+
+def _laguerre_kernel(rho, alpha):
+    """Displaced-parity kernel with one special-function call per rho entry."""
+    dim = rho.shape[0]
+    b = 2.0 * alpha
+    b2 = (b * b.conj()).real
+    env = np.exp(-0.5 * b2)
+    w = np.zeros(alpha.shape)
+    for m in range(dim):
+        w += rho[m, m].real * (-1.0) ** m * env * eval_genlaguerre(m, 0, b2)
+        for n in range(m + 1, dim):
+            if rho[m, n] == 0.0:
+                continue
+            scale = math.exp(0.5 * (math.lgamma(m + 1) - math.lgamma(n + 1)))
+            knm = (-1.0) ** m * scale * b ** (n - m) * env * eval_genlaguerre(m, n - m, b2)
+            w += 2.0 * (rho[m, n] * knm).real
+    return TWO_OVER_PI * w
 
 
 # -------------------------------------------------------------------- values
@@ -103,6 +121,20 @@ def test_grid_matches_fold_integral_oracle():
         assert abs(grid.values[i, j] - _transform_oracle(vec.amplitudes, x, p)) < 1e-9
 
 
+@pytest.mark.parametrize("n_max", [1, 20, 52, 100])
+def test_recurrence_kernel_matches_laguerre_oracle(n_max):
+    rng = np.random.default_rng(900 + n_max)
+    z = (rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)) * np.exp(
+        -0.05 * np.arange(n_max + 1)
+    )
+    rho = fock.to_density(fock.make_fock_vector(z)).matrix
+    # the corners reach |2 alpha|^2 = 128, the far end of the default window
+    x = np.linspace(-4.0, 4.0, 21)
+    alpha = x[:, None] + 1j * x[None, :]
+    got = wigner._displacement_kernel(rho, alpha)
+    assert np.max(np.abs(got - _laguerre_kernel(rho, alpha))) < 1e-13
+
+
 def test_wigner_is_linear_in_the_state():
     vac = np.zeros((2, 2), dtype=complex)
     vac[0, 0] = 1.0
@@ -135,6 +167,19 @@ def test_squeezed_vacuum_normalization_on_default_window():
 
 
 # ------------------------------------------------------------------ marginals
+
+def test_bilinear_sampler_matches_map_coordinates():
+    rng = np.random.default_rng(77)
+    values = rng.normal(size=(17, 23))
+    r = rng.uniform(-3.0, 19.0, size=4000)
+    c = rng.uniform(-3.0, 25.0, size=4000)
+    # corners, edges, and points just off the grid
+    r[:6] = (0.0, 16.0, 16.0, -1e-12, 16.0 + 1e-12, 8.5)
+    c[:6] = (0.0, 22.0, 0.0, 4.0, 4.0, 22.0 + 1e-9)
+    expected = ndimage.map_coordinates(values, np.stack([r, c]), order=1, mode="constant", cval=0.0)
+    assert np.max(np.abs(wigner._bilinear(values, r, c) - expected)) < 1e-15
+    assert np.count_nonzero(expected == 0.0) > 1000  # the off-grid case is exercised
+
 
 def test_axis_marginals_reduce_to_row_and_column_sums():
     grid = wigner.wigner_of_state(_one_third_density())
