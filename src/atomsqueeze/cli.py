@@ -47,6 +47,7 @@ class Param:
 
 _BETA = Param("beta", float, help="one-photon amplitude |beta| of the source state")
 _PHI = Param("phi", float, 0.0, help="relative phase of the one-photon amplitude")
+_SEED = Param("seed", int, help="RNG seed (required for stochastic commands)")
 _BUDGET_SOURCE = (
     Param("collection", float, help="collection efficiency into the LO spatial mode"),
     Param("preset", str, "custom", help="emitter preset name, or 'custom'"),
@@ -81,7 +82,7 @@ SCHEMAS: dict[str, list[Param]] = {
         Param("lo-phase", float, 0.0, help="local oscillator phase"),
         Param("eta", float, 1.0, help="total detection efficiency"),
         Param("samples", int, help="number of Monte Carlo samples"),
-        Param("seed", int, help="RNG seed (required for stochastic commands)"),
+        _SEED,
     ],
     "phase-scan": [
         _BETA,
@@ -89,7 +90,7 @@ SCHEMAS: dict[str, list[Param]] = {
         Param("eta", float, 1.0, help="total detection efficiency"),
         Param("samples", int, 2000, help="samples per phase"),
         Param("n-phases", int, 16, help="number of LO phases on [0, 2*pi)"),
-        Param("seed", int, help="RNG seed (required for stochastic commands)"),
+        _SEED,
     ],
     "budget": [
         *_BUDGET_SOURCE,
@@ -104,7 +105,7 @@ SCHEMAS: dict[str, list[Param]] = {
     ],
 }
 
-STOCHASTIC = {"homodyne", "phase-scan"}
+STOCHASTIC = {command for command, schema in SCHEMAS.items() if _SEED in schema}
 DEFAULT_FORMAT = {
     "variance": "json",
     "jc-sweep": "csv",
@@ -165,15 +166,19 @@ def resolve_params(command: str, config_values: dict[str, str], cli_values: dict
     resolved, explicit = {}, set()
     for p in schema:
         if cli_values.get(p.name) is not None:
-            resolved[p.name] = cli_values[p.name]
-            explicit.add(p.name)
+            value = cli_values[p.name]
         elif p.name in config_values:
-            resolved[p.name] = _convert(p, config_values[p.name])
-            explicit.add(p.name)
+            value = _convert(p, config_values[p.name])
         elif p.required:
             raise InvalidParameter(f"missing required parameter {p.name!r} for command {command!r}")
         else:
             resolved[p.name] = p.default
+            continue
+        # inf stays valid: window-lifetimes = inf means an untruncated LO
+        if isinstance(value, float) and math.isnan(value):
+            raise InvalidParameter(f"parameter {p.name!r} is NaN")
+        resolved[p.name] = value
+        explicit.add(p.name)
     return resolved, explicit
 
 
@@ -235,6 +240,17 @@ def _source_spec(params: dict, phase_key: str = "phi") -> superposition.Superpos
     return superposition.SuperpositionSpec(beta_abs=params["beta"], rel_phase=params[phase_key])
 
 
+def _table(n_max: int, header: list, rows) -> CommandOutput:
+    """Output whose JSON result and CSV body are the same float rows."""
+    listed = [tuple(float(v) for v in row) for row in rows]
+    return CommandOutput(
+        n_max=n_max,
+        result={"columns": header, "rows": listed},
+        table_header=header,
+        table_rows=listed,
+    )
+
+
 def _emitter(params: dict, explicit: set) -> modes.EmitterParams:
     if params["preset"] != "custom":
         if "lifetime-ns" in explicit:
@@ -265,14 +281,7 @@ def _run_jc_sweep(params: dict, explicit: set) -> CommandOutput:
         omega0=params["omega"], omega=params["omega"], coupling=params["coupling"]
     )
     rows = jaynes_cummings.transient_sweep(prep, jc, params["t-max"], params["steps"])
-    header = ["t", "variance_x1", "variance_x2", "db_x1", "db_x2"]
-    listed = [tuple(float(v) for v in row) for row in rows]
-    return CommandOutput(
-        n_max=1,
-        result={"columns": header, "rows": listed},
-        table_header=header,
-        table_rows=listed,
-    )
+    return _table(1, ["t", "variance_x1", "variance_x2", "db_x1", "db_x2"], rows)
 
 
 def _run_wigner(params: dict, explicit: set) -> CommandOutput:
@@ -342,18 +351,12 @@ def _run_phase_scan(params: dict, explicit: set) -> CommandOutput:
         rho, params["eta"], params["samples"], params["seed"], params["n-phases"]
     )
     header = ["phi_lo", "var_hat", "db_hat", "std_error", "var_exact", "db_exact"]
-    listed = [tuple(float(v) for v in row) for row in rows]
-    return CommandOutput(
-        n_max=rho.n_max,
-        result={"columns": header, "rows": listed},
-        table_header=header,
-        table_rows=listed,
-    )
+    return _table(rho.n_max, header, rows)
 
 
 def _run_budget(params: dict, explicit: set) -> CommandOutput:
     emitter = _emitter(params, explicit)
-    spec = superposition.SuperpositionSpec(beta_abs=params["beta"], rel_phase=params["rel-phase"])
+    spec = _source_spec(params, "rel-phase")
     window = params["window-lifetimes"]
     if window != math.inf and window <= 0.0:
         raise InvalidParameter(f"window-lifetimes must be > 0, got {window!r}")
@@ -390,7 +393,7 @@ def _run_budget(params: dict, explicit: set) -> CommandOutput:
 
 def _run_window_sweep(params: dict, explicit: set) -> CommandOutput:
     emitter = _emitter(params, explicit)
-    spec = superposition.SuperpositionSpec(beta_abs=params["beta"], rel_phase=params["rel-phase"])
+    spec = _source_spec(params, "rel-phase")
     if params["steps"] < 2:
         raise InvalidParameter(f"steps must be >= 2, got {params['steps']!r}")
     grid = np.linspace(params["min-lifetimes"], params["max-lifetimes"], params["steps"])
@@ -398,16 +401,7 @@ def _run_window_sweep(params: dict, explicit: set) -> CommandOutput:
         spec, params["collection"], emitter, grid * emitter.lifetime_tau, params["detector"]
     )
     header = ["window_s", "window_lifetimes", "eta_overlap", "detected_db"]
-    listed = [
-        (float(w), float(w / emitter.lifetime_tau), float(ov), float(db))
-        for w, ov, db in rows
-    ]
-    return CommandOutput(
-        n_max=1,
-        result={"columns": header, "rows": listed},
-        table_header=header,
-        table_rows=listed,
-    )
+    return _table(1, header, [(w, w / emitter.lifetime_tau, ov, db) for w, ov, db in rows])
 
 
 HANDLERS = {

@@ -41,7 +41,7 @@ class FockVector:
         if amps.ndim != 1 or amps.size < 2:
             raise InvalidState("FockVector needs a 1-D amplitude array with n_max >= 1")
         norm = np.linalg.norm(amps)
-        if not np.isfinite(norm) or abs(norm - 1.0) > 1e-12:
+        if not (abs(norm - 1.0) <= 1e-12):
             raise InvalidState(f"FockVector norm {norm!r} is not 1 within 1e-12")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
@@ -61,13 +61,14 @@ class FockDensity:
         rho = np.asarray(self.matrix, dtype=complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
             raise InvalidState("FockDensity needs a square matrix with n_max >= 1")
-        if np.max(np.abs(rho - rho.conj().T)) > HERMITICITY_TOL:
+        # every check is written so that a NaN entry fails it
+        if not (np.max(np.abs(rho - rho.conj().T)) <= HERMITICITY_TOL):
             raise InvalidState("density matrix is not Hermitian within 1e-12")
         tr = np.trace(rho).real
-        if abs(tr - 1.0) > TRACE_TOL:
+        if not (abs(tr - 1.0) <= TRACE_TOL):
             raise InvalidState(f"density matrix trace {tr!r} is not 1 within 1e-12")
         # eigvalsh is cheap at the truncations used here (n_max <= ~20)
-        if np.min(np.linalg.eigvalsh(rho)) < PSD_TOL:
+        if not (np.min(np.linalg.eigvalsh(rho)) >= PSD_TOL):
             raise InvalidState("density matrix has an eigenvalue below -1e-10")
         rho.setflags(write=False)
         object.__setattr__(self, "matrix", rho)

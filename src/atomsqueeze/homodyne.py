@@ -67,13 +67,13 @@ def tabulated_cdf(state: fock.FockDensity, phi_lo: float) -> tuple[np.ndarray, n
     """(x grid, CDF) of the X_phi_lo marginal on the fixed sampling grid."""
     xs = np.linspace(CDF_SUPPORT[0], CDF_SUPPORT[1], CDF_POINTS)
     p = marginal_density(state, phi_lo)(xs)
-    if np.min(p) < DENSITY_FLOOR:
+    if not (np.min(p) >= DENSITY_FLOOR):
         raise InvalidState(f"marginal density reaches {np.min(p)!r} < {DENSITY_FLOOR}")
     p = np.clip(p, 0.0, None)
     dx = xs[1] - xs[0]
     cdf = np.concatenate([[0.0], np.cumsum((p[1:] + p[:-1]) * (dx / 2.0))])
     total = cdf[-1]
-    if abs(total - 1.0) > 1e-6:
+    if not (abs(total - 1.0) <= 1e-6):
         raise InvalidState(f"marginal mass on {CDF_SUPPORT} is {total!r}, not 1")
     return xs, cdf / total
 
@@ -89,6 +89,8 @@ class HomodyneRun:
     seed: int
 
     def __post_init__(self):
+        if not math.isfinite(self.phi_lo):
+            raise InvalidParameter(f"phi_lo must be finite, got {self.phi_lo!r}")
         if not (0.0 <= self.eta_total <= 1.0):
             raise InvalidParameter(f"eta_total must be in [0, 1], got {self.eta_total!r}")
         if self.n_samples < 100:

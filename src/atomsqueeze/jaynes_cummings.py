@@ -88,7 +88,7 @@ class JointAtomFieldState:
             raise InvalidState("amp_e and amp_g must be equal-length 1-D arrays, n_max >= 1")
         norm = math.sqrt(float(np.sum(np.abs(e) ** 2) + np.sum(np.abs(g) ** 2)))
         # loosest producer is the numeric integrator (norm drift <= 1e-9)
-        if abs(norm - 1.0) > 1e-9:
+        if not (abs(norm - 1.0) <= 1e-9):
             raise InvalidState(f"joint state norm {norm!r} is not 1 within 1e-9")
         e.setflags(write=False)
         g.setflags(write=False)
@@ -109,25 +109,20 @@ class DipoleCheck:
     field_squeezing_predicted: bool
 
 
-def _require_resonant(params: JCParams):
+def _require_resonant(params: JCParams, t: float | None = None):
+    """Reject detuned parameters and, when given, a time that is not finite and >= 0."""
     if not params.resonant:
         raise NotSupported(
             f"only resonant evolution is implemented (omega={params.omega!r} != omega0={params.omega0!r})"
         )
+    if t is not None and not (0.0 <= t < math.inf):
+        raise InvalidParameter(f"time must be finite and >= 0, got {t!r}")
 
 
 def evolve_resonant(prep: AtomPrep, params: JCParams, t: float) -> JointAtomFieldState:
     """Closed-form resonant evolution from the vacuum-field start, n_max = 1."""
-    _require_resonant(params)
-    if not math.isfinite(t) or t < 0.0:
-        raise InvalidParameter(f"time must be finite and >= 0, got {t!r}")
-    c = math.cos(prep.theta / 2.0)
-    s = math.sin(prep.theta / 2.0)
-    lt = params.coupling * t
-    rot = np.exp(-1j * params.omega * t)
-    amp_e = np.array([c * math.cos(lt) * rot, 0.0j])
-    amp_g = np.array([s * np.exp(1j * prep.phi), -1j * c * math.sin(lt) * rot])
-    return JointAtomFieldState(amp_e=amp_e, amp_g=amp_g)
+    _require_resonant(params, t)
+    return _rotating_joint(prep, params.coupling * t, np.exp(-1j * params.omega * t))
 
 
 def jc_hamiltonian(params: JCParams, n_max: int) -> np.ndarray:
@@ -154,9 +149,7 @@ def numeric_evolve(prep: AtomPrep, params: JCParams, t: float, dt: float) -> Joi
     gauged by e^{-i omega t / 2} to place the energy origin at |g,0>,
     matching evolve_resonant.
     """
-    _require_resonant(params)
-    if not math.isfinite(t) or t < 0.0:
-        raise InvalidParameter(f"time must be finite and >= 0, got {t!r}")
+    _require_resonant(params, t)
     if not math.isfinite(dt) or dt <= 0.0 or dt > MAX_STABLE_DT / params.coupling:
         raise InvalidParameter(
             f"dt must be in (0, {MAX_STABLE_DT}/coupling], got {dt!r}"
@@ -190,36 +183,35 @@ def reduced_field_density(state: JointAtomFieldState) -> fock.FockDensity:
     return fock.FockDensity(rho)
 
 
-def _rotating_joint(prep: AtomPrep, lam_t: float) -> JointAtomFieldState:
-    """Closed-form joint state in the frame rotating at omega (phases dropped)."""
+def _rotating_joint(prep: AtomPrep, lam_t: float, frame: complex = 1.0) -> JointAtomFieldState:
+    """Closed-form joint state at lam_t = coupling * t; frame = e^{-i omega t} leaves the rotating frame."""
     c = math.cos(prep.theta / 2.0)
     s = math.sin(prep.theta / 2.0)
-    amp_e = np.array([c * math.cos(lam_t), 0.0j])
-    amp_g = np.array([s * np.exp(1j * prep.phi), -1j * c * math.sin(lam_t)])
+    amp_e = np.array([c * math.cos(lam_t) * frame, 0.0j])
+    amp_g = np.array([s * np.exp(1j * prep.phi), -1j * c * math.sin(lam_t) * frame])
     return JointAtomFieldState(amp_e=amp_e, amp_g=amp_g)
 
 
 def field_variances(prep: AtomPrep, params: JCParams, t: float) -> tuple[float, float]:
-    """(Var X1, Var X2) of the emitted field in the rotating frame."""
-    _require_resonant(params)
-    if not math.isfinite(t) or t < 0.0:
-        raise InvalidParameter(f"time must be finite and >= 0, got {t!r}")
+    """(Var X1, Var X2) in the rotating frame via the reduced density matrix (closed-form cross-check)."""
+    _require_resonant(params, t)
     rho = reduced_field_density(_rotating_joint(prep, params.coupling * t))
     v1 = fock.quadrature_stats(rho, 0.0).variance
     v2 = fock.quadrature_stats(rho, math.pi / 2.0).variance
     return v1, v2
 
 
-def closed_form_variance_at(prep: AtomPrep, lam_t: float, phi_lo: float) -> float:
-    """Var(X_phi_lo) closed form at dimensionless time lam_t = coupling * t."""
+def closed_form_variance_at(prep: AtomPrep, lam_t, phi_lo: float):
+    """Var(X_phi_lo) closed form at lam_t = coupling * t; broadcasts over an array lam_t."""
     c2 = math.cos(prep.theta / 2.0) ** 2
     s2 = math.sin(prep.theta / 2.0) ** 2
-    sl2 = math.sin(lam_t) ** 2
-    return 0.25 + c2 * sl2 * (0.5 - s2 * math.sin(prep.phi + phi_lo) ** 2)
+    sl2 = np.sin(lam_t) ** 2
+    var = 0.25 + c2 * sl2 * (0.5 - s2 * math.sin(prep.phi + phi_lo) ** 2)
+    return float(var) if np.ndim(lam_t) == 0 else var
 
 
-def closed_form_variances(prep: AtomPrep, lam_t: float) -> tuple[float, float]:
-    """(Var X1, Var X2) closed forms at dimensionless time lam_t."""
+def closed_form_variances(prep: AtomPrep, lam_t) -> tuple:
+    """(Var X1, Var X2) closed forms at dimensionless time lam_t (scalar or array)."""
     return (
         closed_form_variance_at(prep, lam_t, 0.0),
         closed_form_variance_at(prep, lam_t, math.pi / 2.0),
@@ -287,15 +279,18 @@ def field_superposition_at_quarter_period(prep: AtomPrep) -> tuple[Superposition
 def transient_sweep(prep: AtomPrep, params: JCParams, t_max: float, n_steps: int) -> np.ndarray:
     """Variance transient on the uniform grid t = 0 .. t_max (n_steps points).
 
-    Returns rows (t, var_x1, var_x2, db_x1, db_x2).
+    Returns rows (t, var_x1, var_x2, db_x1, db_x2).  The variances come from
+    the closed forms on the whole coupling * t grid at once; the reduced
+    density matrix path (field_variances) and the RK4 integrator are
+    cross-checks kept in the tests.
     """
     _require_resonant(params)
-    if not math.isfinite(t_max) or t_max <= 0.0:
-        raise InvalidParameter(f"t_max must be finite and > 0, got {t_max!r}")
+    if not (0.0 < t_max and math.isfinite(params.coupling * t_max)):
+        raise InvalidParameter(f"t_max must be > 0 with coupling * t_max finite, got {t_max!r}")
     if n_steps < 2:
         raise InvalidParameter(f"n_steps must be >= 2, got {n_steps!r}")
-    rows = np.empty((n_steps, 5))
-    for i, t in enumerate(np.linspace(0.0, t_max, n_steps)):
-        v1, v2 = field_variances(prep, params, float(t))
-        rows[i] = (t, v1, v2, fock.variance_to_db(v1), fock.variance_to_db(v2))
-    return rows
+    ts = np.linspace(0.0, t_max, n_steps)
+    v1, v2 = closed_form_variances(prep, params.coupling * ts)
+    db1 = [fock.variance_to_db(v) for v in v1]
+    db2 = [fock.variance_to_db(v) for v in v2]
+    return np.column_stack((ts, v1, v2, db1, db2))

@@ -60,9 +60,9 @@ class EmitterParams:
     def __post_init__(self):
         if not math.isfinite(self.lifetime_tau) or self.lifetime_tau <= 0.0:
             raise InvalidParameter(f"lifetime must be finite and > 0, got {self.lifetime_tau!r}")
-        if abs(self.gamma_rate * self.lifetime_tau - 1.0) > 1e-12:
+        if not (abs(self.gamma_rate * self.lifetime_tau - 1.0) <= 1e-12):
             raise InvalidParameter("gamma_rate is not 1/lifetime within 1e-12")
-        if abs(self.linewidth_hz * 2.0 * math.pi * self.lifetime_tau - 1.0) > 1e-12:
+        if not (abs(self.linewidth_hz * 2.0 * math.pi * self.lifetime_tau - 1.0) <= 1e-12):
             raise InvalidParameter("linewidth_hz is not 1/(2 pi lifetime) within 1e-12")
 
     @classmethod
@@ -194,10 +194,10 @@ class EfficiencyBudget:
             v = getattr(self, name)
             if not (0.0 <= v <= 1.0):
                 raise InvalidParameter(f"{name} must be in [0, 1], got {v!r}")
-        if abs(self.eta_total - self.eta_collection * self.eta_overlap * self.eta_detector) > 1e-12:
+        if not (abs(self.eta_total - self.eta_collection * self.eta_overlap * self.eta_detector) <= 1e-12):
             raise InvalidState("eta_total is not the product of its factors")
         expected = self.eta_total * self.input_variance + (1.0 - self.eta_total) * fock.VACUUM_VARIANCE
-        if abs(self.detected_variance - expected) > 1e-12:
+        if not (abs(self.detected_variance - expected) <= 1e-12):
             raise InvalidState("detected variance violates V -> eta V + (1 - eta)/4")
 
 

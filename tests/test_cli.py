@@ -71,6 +71,15 @@ def test_resolve_params_errors_name_the_key():
         cli.resolve_params("variance", {"beta": "half"}, {})
 
 
+def test_resolve_params_rejects_nan_keeps_inf():
+    with pytest.raises(InvalidParameter, match="'window-lifetimes' is NaN"):
+        cli.resolve_params("budget", {"collection": "0.9"}, {"window-lifetimes": math.nan})
+    with pytest.raises(InvalidParameter, match="'beta' is NaN"):
+        cli.resolve_params("variance", {"beta": "nan"}, {})
+    params, _ = cli.resolve_params("budget", {"window-lifetimes": "inf"}, {"collection": 0.9})
+    assert params["window-lifetimes"] == math.inf
+
+
 # ------------------------------------------------------------------ variance
 
 def test_variance_json_values(tmp_path):
@@ -273,6 +282,39 @@ def test_budget_tiny_lo_rate_truncated(tmp_path):
     res = json.loads(text)["result"]
     # a flat LO on [0, 5 tau] against e^{-t / (2 tau)}
     assert abs(res["eta_overlap"] - 0.8 * (1.0 - math.exp(-2.5)) ** 2) < 1e-12
+
+
+def test_budget_nan_window_flag_exits_2(tmp_path, capsys):
+    assert cli.main(["budget", "--collection", "0.9", "--window-lifetimes", "nan"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: parameter:")
+    assert "'window-lifetimes' is NaN" in captured.err
+    # inf keeps meaning an untruncated LO
+    text = _run_to_text(
+        ["budget", "--collection", "0.9", "--window-lifetimes", "inf"], tmp_path, "inf.json"
+    )
+    assert json.loads(text)["result"]["lo_window_lifetimes"] == "inf"
+
+
+def test_budget_nan_window_config_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "nan.cfg"
+    cfg.write_text("collection = 0.9\nwindow-lifetimes = nan\n")
+    assert cli.main(["budget", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "'window-lifetimes' is NaN" in captured.err
+
+
+def test_homodyne_non_finite_lo_phase_exits_2(capsys):
+    base = ["homodyne", "--beta", "0.5", "--samples", "1000", "--seed", "1"]
+    assert cli.main([*base, "--lo-phase", "nan"]) == 2
+    assert "'lo-phase' is NaN" in capsys.readouterr().err
+    assert cli.main([*base, "--lo-phase", "inf"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parameter:")
+    assert "phi_lo must be finite" in err
+    assert "var_hat" not in err
 
 
 # ------------------------------------------------------------- determinism

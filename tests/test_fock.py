@@ -61,6 +61,17 @@ def test_fock_density_validation():
         fock.FockDensity(np.array([[1.2, 0.0], [0.0, -0.2]], dtype=complex))
 
 
+def test_fock_density_rejects_nan():
+    with pytest.raises(InvalidState):
+        fock.FockDensity(np.full((2, 2), np.nan))
+
+
+def test_rotate_phase_rejects_nan_phase():
+    rho = fock.to_density(fock.make_fock_vector(ONE_THIRD_STATE))
+    with pytest.raises(InvalidState):
+        fock.rotate_phase(rho, math.nan)
+
+
 def test_to_density_is_projector():
     v = fock.make_fock_vector(ONE_THIRD_STATE)
     rho = fock.to_density(v).matrix

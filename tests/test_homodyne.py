@@ -102,6 +102,12 @@ def test_run_validation():
         HomodyneRun(state=VACUUM, phi_lo=0.0, eta_total=1.0, n_samples=1000, seed=1.5)
 
 
+def test_run_rejects_non_finite_lo_phase():
+    for phi_lo in (math.nan, math.inf):
+        with pytest.raises(InvalidParameter, match="phi_lo"):
+            HomodyneRun(state=VACUUM, phi_lo=phi_lo, eta_total=1.0, n_samples=1000, seed=1)
+
+
 def test_variance_estimate_requires_positive_variance():
     with pytest.raises(InvalidParameter):
         VarianceEstimate(

@@ -44,6 +44,22 @@ def test_joint_state_validation():
         JointAtomFieldState(np.array([1.0 + 0.0j]), np.array([0.0j]))
 
 
+def test_joint_state_rejects_nan_amplitude():
+    with pytest.raises(InvalidState):
+        JointAtomFieldState(np.array([math.nan, 0.0j]), np.array([1.0, 0.0j]))
+
+
+def test_non_finite_times_rejected():
+    prep = AtomPrep(1.0, 0.0)
+    for t in (math.nan, math.inf, -0.5):
+        with pytest.raises(InvalidParameter, match="time must be finite"):
+            jc.evolve_resonant(prep, RESONANT, t)
+        with pytest.raises(InvalidParameter, match="time must be finite"):
+            jc.numeric_evolve(prep, RESONANT, t, 0.005)
+        with pytest.raises(InvalidParameter, match="time must be finite"):
+            jc.field_variances(prep, RESONANT, t)
+
+
 def test_off_resonance_not_supported():
     detuned = JCParams(omega0=1.0, omega=1.2, coupling=0.5)
     prep = AtomPrep(theta=1.0, phi=0.0)
@@ -283,3 +299,51 @@ def test_transient_sweep_validation():
         jc.transient_sweep(prep, ZERO_FREQ, 0.0, 5)
     with pytest.raises(InvalidParameter):
         jc.transient_sweep(prep, ZERO_FREQ, 1.0, 1)
+
+
+def test_transient_sweep_rejects_non_finite_grid():
+    prep = AtomPrep(1.0, 0.0)
+    fast = JCParams(omega0=0.0, omega=0.0, coupling=10.0)
+    for t_max, params in ((math.nan, ZERO_FREQ), (math.inf, ZERO_FREQ), (1e308, fast)):
+        with pytest.raises(InvalidParameter, match="t_max"):
+            jc.transient_sweep(prep, params, t_max, 5)
+
+
+def test_closed_form_variance_broadcasts_and_keeps_scalar_floats():
+    prep = AtomPrep(2.0, 0.7)
+    lts = np.linspace(0.0, 2.0 * math.pi, 13)
+    grid = jc.closed_form_variance_at(prep, lts, 0.3)
+    assert grid.shape == lts.shape
+    for lt, v in zip(lts, grid):
+        scalar = jc.closed_form_variance_at(prep, float(lt), 0.3)
+        assert type(scalar) is float
+        assert abs(scalar - v) < 1e-15
+    v1, v2 = jc.closed_form_variances(prep, 1.1)
+    assert type(v1) is float and type(v2) is float
+
+
+def test_transient_sweep_matches_reduced_density_oracle():
+    # the sweep runs on the closed forms; field_variances is the independent path
+    for params in (ZERO_FREQ, RESONANT):
+        for theta in np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False):
+            for phi in np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False):
+                prep = AtomPrep(float(theta), float(phi))
+                for t, v1, v2, db1, db2 in jc.transient_sweep(prep, params, 7.0, 23):
+                    o1, o2 = jc.field_variances(prep, params, float(t))
+                    assert abs(v1 - o1) < 1e-12
+                    assert abs(v2 - o2) < 1e-12
+                    assert abs(db1 - fock.variance_to_db(o1)) < 1e-12
+                    assert abs(db2 - fock.variance_to_db(o2)) < 1e-12
+
+
+def test_transient_sweep_builds_no_density_matrix(monkeypatch):
+    def forbidden(*args, **kwargs):
+        raise AssertionError("transient_sweep left the closed forms")
+
+    monkeypatch.setattr(fock.FockDensity, "__post_init__", forbidden)
+    monkeypatch.setattr(fock, "quadrature_stats", forbidden)
+    monkeypatch.setattr(jc, "field_variances", forbidden)
+    monkeypatch.setattr(jc, "reduced_field_density", forbidden)
+    rows = jc.transient_sweep(AtomPrep(2.0, 1.0), RESONANT, 5.0, 50)
+    assert rows.shape == (50, 5)
+    assert np.all(np.isfinite(rows))

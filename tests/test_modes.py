@@ -41,6 +41,13 @@ def test_emitter_invariants_enforced():
         EmitterParams(lifetime_tau=1.0, gamma_rate=1.0, linewidth_hz=1.0)
 
 
+def test_emitter_rejects_nan_derived_rates():
+    with pytest.raises(InvalidParameter):
+        EmitterParams(lifetime_tau=1.0, gamma_rate=math.nan, linewidth_hz=1.0 / (2.0 * math.pi))
+    with pytest.raises(InvalidParameter):
+        EmitterParams(lifetime_tau=1.0, gamma_rate=1.0, linewidth_hz=math.nan)
+
+
 # -------------------------------------------------------------- temporal modes
 
 def test_emitted_mode_envelope():
@@ -189,6 +196,15 @@ def test_budget_dataclass_consistency_checks():
             preset="custom", eta_collection=0.5, eta_overlap=1.0, eta_detector=1.0,
             eta_total=0.5, input_variance=0.1875, detected_variance=0.2, detected_db=-1.0,
         )
+
+
+def test_budget_rejects_nan_variances():
+    for source, detected in ((math.nan, 0.25), (0.25, math.nan)):
+        with pytest.raises(InvalidState):
+            modes.EfficiencyBudget(
+                preset="custom", eta_collection=0.5, eta_overlap=1.0, eta_detector=1.0,
+                eta_total=0.5, input_variance=source, detected_variance=detected, detected_db=0.0,
+            )
 
 
 def test_detected_squeezing_reference_budget():
