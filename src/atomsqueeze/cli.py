@@ -30,6 +30,14 @@ EXIT_IO = 4
 
 _REQUIRED = object()
 
+# Caps on the inputs that size memory; larger values exit 2.  Table rows are
+# held as Python tuples (~100 bytes per number), so each cap keeps a run
+# within a few hundred MiB.
+MAX_SAMPLES = 1_000_000
+MAX_RES = 1001
+MAX_STEPS = 100_000
+MAX_PHASES = 4096
+
 
 @dataclass(frozen=True)
 class Param:
@@ -39,6 +47,7 @@ class Param:
     type: type
     default: object = _REQUIRED
     help: str = ""
+    cap: int | None = None  # largest accepted value of a size input
 
     @property
     def required(self) -> bool:
@@ -68,28 +77,28 @@ SCHEMAS: dict[str, list[Param]] = {
         Param("coupling", float, 1.0, help="atom-field coupling rate"),
         Param("omega", float, 0.0, help="resonant angular frequency (0 = rotating frame)"),
         Param("t-max", float, help="sweep end time"),
-        Param("steps", int, 200, help="number of grid points"),
+        Param("steps", int, 200, help="number of grid points", cap=MAX_STEPS),
     ],
     "wigner": [
         _BETA,
         _PHI,
         Param("range", float, 4.0, help="half-width R of the [-R, R]^2 grid"),
-        Param("res", int, 201, help="points per axis"),
+        Param("res", int, 201, help="points per axis", cap=MAX_RES),
     ],
     "homodyne": [
         _BETA,
         _PHI,
         Param("lo-phase", float, 0.0, help="local oscillator phase"),
         Param("eta", float, 1.0, help="total detection efficiency"),
-        Param("samples", int, help="number of Monte Carlo samples"),
+        Param("samples", int, help="number of Monte Carlo samples", cap=MAX_SAMPLES),
         _SEED,
     ],
     "phase-scan": [
         _BETA,
         _PHI,
         Param("eta", float, 1.0, help="total detection efficiency"),
-        Param("samples", int, 2000, help="samples per phase"),
-        Param("n-phases", int, 16, help="number of LO phases on [0, 2*pi)"),
+        Param("samples", int, 2000, help="samples per phase", cap=MAX_SAMPLES),
+        Param("n-phases", int, 16, help="number of LO phases on [0, 2*pi)", cap=MAX_PHASES),
         _SEED,
     ],
     "budget": [
@@ -101,7 +110,7 @@ SCHEMAS: dict[str, list[Param]] = {
         *_BUDGET_SOURCE,
         Param("min-lifetimes", float, 0.5, help="shortest LO window in lifetimes"),
         Param("max-lifetimes", float, 10.0, help="longest LO window in lifetimes"),
-        Param("steps", int, 20, help="number of windows"),
+        Param("steps", int, 20, help="number of windows", cap=MAX_STEPS),
     ],
 }
 
@@ -177,6 +186,8 @@ def resolve_params(command: str, config_values: dict[str, str], cli_values: dict
         # inf stays valid: window-lifetimes = inf means an untruncated LO
         if isinstance(value, float) and math.isnan(value):
             raise InvalidParameter(f"parameter {p.name!r} is NaN")
+        if p.cap is not None and value > p.cap:
+            raise InvalidParameter(f"parameter {p.name!r} is {value!r}, above its cap of {p.cap}")
         resolved[p.name] = value
         explicit.add(p.name)
     return resolved, explicit
@@ -191,8 +202,13 @@ def _fmt(v) -> str:
 
 
 def _jsonable(v):
+    """v with every non-finite float, at any depth, replaced by its repr."""
     if isinstance(v, float) and not math.isfinite(v):
         return repr(v)
+    if isinstance(v, dict):
+        return {k: _jsonable(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_jsonable(x) for x in v]
     return v
 
 
@@ -201,7 +217,7 @@ def _meta(command: str, params: dict, out: CommandOutput) -> dict:
         "artifact": "atomsqueeze",
         "version": __version__,
         "command": command,
-        "parameters": {p.name: _jsonable(params[p.name]) for p in SCHEMAS[command]},
+        "parameters": {p.name: params[p.name] for p in SCHEMAS[command]},
         "n_max": out.n_max,
     }
     if command in STOCHASTIC:
@@ -214,8 +230,7 @@ def _meta(command: str, params: dict, out: CommandOutput) -> dict:
 
 def _json_text(meta: dict, result: dict) -> str:
     # keep the document strict JSON: no bare Infinity/NaN tokens
-    clean = {k: _jsonable(v) for k, v in result.items()}
-    return json.dumps({"meta": meta, "result": clean}, indent=2) + "\n"
+    return json.dumps(_jsonable({"meta": meta, "result": result}), indent=2) + "\n"
 
 def _csv_text(meta: dict, header: list, rows: list) -> str:
     lines = []
@@ -426,7 +441,8 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, schema in SCHEMAS.items():
         p = sub.add_parser(command)
         for prm in schema:
-            p.add_argument(f"--{prm.name}", type=prm.type, default=None, help=prm.help)
+            cap = "" if prm.cap is None else f" (at most {prm.cap:,})"
+            p.add_argument(f"--{prm.name}", type=prm.type, default=None, help=prm.help + cap)
         p.add_argument("--config", default=None, help="key = value parameter file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument(

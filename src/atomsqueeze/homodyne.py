@@ -2,17 +2,25 @@
 
 The marginal of X_phi for a truncated density matrix is
 
-    p(x) = sum_{mn} rho~_{mn} psi_m(x) psi_n(x),
+    p(x) = sum_{mn} Re(rho~_{mn}) psi_m(x) psi_n(x),
     rho~ = e^{-i phi n} rho e^{+i phi n}
 
-with the oscillator eigenfunctions in these units (vacuum variance 1/4)
+(Im rho~ is antisymmetric for Hermitian rho~ and drops out), with the
+oscillator eigenfunctions in these units (vacuum variance 1/4)
 
     psi_0(x) = (2/pi)^{1/4} e^{-x^2},
     psi_n(x) = (2x/sqrt(n)) psi_{n-1}(x) - sqrt((n-1)/n) psi_{n-2}(x).
 
-Sampling inverts a trapezoid-tabulated CDF on a fixed 2^16-point grid over
-[-6, 6]; for the n_max <= 10 states used here the tail mass outside and the
-interpolation error are both far below 1e-9.  Randomness comes from numpy's
+It is evaluated as one real matrix product per block of 4,096 points, so
+no (n_max+1) x len(x) array of psi is ever held.
+
+Sampling inverts a trapezoid-tabulated CDF on a 2^16-point grid over
+[-w, w], w = max(6, |mean| + 6.5 sqrt(variance)) from the exact moments of
+X_phi: every n_max = 1 state keeps [-6, 6], and wider states (squeezed
+vacua at large cutoffs) get a support that holds their mass.  The tabulated
+mass must be 1 within 1e-6.  The inverse CDF is np.interp(u, cdf, x)
+computed bit for bit through a guide table, so a seed gives the same
+samples as plain interpolation.  Randomness comes from numpy's
 counter-based Philox generator so sample streams are reproducible across
 platforms for a given seed; substreams for multi-phase scans are spawned
 through SeedSequence.
@@ -28,8 +36,12 @@ from .errors import DegenerateData, InvalidParameter, InvalidState
 
 GENERATOR_ID = "numpy-philox4x64"
 CDF_POINTS = 2**16
-CDF_SUPPORT = (-6.0, 6.0)
+MIN_HALF_WIDTH = 6.0  # every n_max = 1 state fits well inside [-6, 6]
+SUPPORT_SIGMAS = 6.5  # half-width beyond |mean| in units of the exact standard deviation
 DENSITY_FLOOR = -1e-12  # marginal values below this mean a broken state
+_MARGINAL_BLOCK = 4096  # x points per psi block in the marginal
+_DRAW_CHUNK = 2**16  # uniforms per chunk of the inverse CDF
+_GUIDE_BINS = 2**16  # most guide-table bins
 
 
 def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -52,20 +64,27 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
 
 def marginal_density(state: fock.FockDensity, phi_lo: float):
     """Probability density of X_phi_lo as a callable of x (scalar or array)."""
-    rho = fock.rotate_phase(state, phi_lo).matrix
+    # Im rho is antisymmetric for Hermitian rho, so only Re rho contributes
+    rho = fock.rotate_phase(state, phi_lo).matrix.real
+    n_max = rho.shape[0] - 1
 
     def density(x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        psi = hermite_functions(rho.shape[0] - 1, xs)
-        vals = np.einsum("mx,mn,nx->x", psi, rho, psi).real
+        vals = np.empty(xs.size)
+        for start in range(0, xs.size, _MARGINAL_BLOCK):
+            block = slice(start, start + _MARGINAL_BLOCK)
+            psi = hermite_functions(n_max, xs[block])
+            vals[block] = np.einsum("mx,mx->x", psi, rho @ psi)
         return vals[0] if np.isscalar(x) or np.ndim(x) == 0 else vals
 
     return density
 
 
 def tabulated_cdf(state: fock.FockDensity, phi_lo: float) -> tuple[np.ndarray, np.ndarray]:
-    """(x grid, CDF) of the X_phi_lo marginal on the fixed sampling grid."""
-    xs = np.linspace(CDF_SUPPORT[0], CDF_SUPPORT[1], CDF_POINTS)
+    """(x grid, CDF) of the X_phi_lo marginal on a support sized to the state."""
+    st = fock.quadrature_stats(state, phi_lo)
+    half = max(MIN_HALF_WIDTH, abs(st.mean) + SUPPORT_SIGMAS * math.sqrt(st.variance))
+    xs = np.linspace(-half, half, CDF_POINTS)
     p = marginal_density(state, phi_lo)(xs)
     if not (np.min(p) >= DENSITY_FLOOR):
         raise InvalidState(f"marginal density reaches {np.min(p)!r} < {DENSITY_FLOOR}")
@@ -74,7 +93,7 @@ def tabulated_cdf(state: fock.FockDensity, phi_lo: float) -> tuple[np.ndarray, n
     cdf = np.concatenate([[0.0], np.cumsum((p[1:] + p[:-1]) * (dx / 2.0))])
     total = cdf[-1]
     if not (abs(total - 1.0) <= 1e-6):
-        raise InvalidState(f"marginal mass on {CDF_SUPPORT} is {total!r}, not 1")
+        raise InvalidState(f"marginal mass on [{-half!r}, {half!r}] is {total!r}, not 1")
     return xs, cdf / total
 
 
@@ -120,7 +139,35 @@ def detected_state(state: fock.FockDensity, eta_total: float) -> fock.FockDensit
 
 
 def _draw(xs: np.ndarray, cdf: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
-    return np.interp(rng.random(n), cdf, xs)
+    """np.interp(rng.random(n), cdf, xs) bit for bit, for a CDF from 0 to 1.
+
+    The bracket of u is j, the last knot with cdf[j] <= u.  The guide table
+    holds the bracket of each bin edge b/bins, where bins is a power of two
+    (so the edges are exact) no larger than n or 2^16 (so the table costs
+    no more than the draws).  Every u in bin b has j >= guide[b]; one
+    comparison with cdf[guide[b] + 1] settles j = guide[b], and
+    searchsorted brackets the rest.  The value is then np.interp's own:
+    xs[j] where u == cdf[j], else the chord through knots j and j+1.
+    Uniforms become samples in place, one chunk at a time, so temporaries
+    stay chunk-sized.
+    """
+    bins = min(_GUIDE_BINS, 1 << (int(n).bit_length() - 1))
+    guide = np.searchsorted(cdf, np.arange(bins + 1) / bins, "right") - 1
+    out = rng.random(n)
+    # a subnormal CDF step can give an infinite chord slope; np.interp meets
+    # one only where u == cdf[j], which takes xs[j] below
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, n, _DRAW_CHUNK):
+            u = out[start : start + _DRAW_CHUNK]
+            j = guide[(u * bins).astype(np.intp)]
+            miss = u >= cdf[j + 1]
+            j[miss] = np.searchsorted(cdf, u[miss], "right") - 1
+            lo = cdf[j]
+            x = (xs[j + 1] - xs[j]) / (cdf[j + 1] - lo) * (u - lo) + xs[j]
+            on_knot = u == lo
+            x[on_knot] = xs[j[on_knot]]
+            u[:] = x
+    return out
 
 
 def sample_quadratures(run: HomodyneRun) -> np.ndarray:
@@ -143,8 +190,10 @@ def estimate_variance(samples: np.ndarray) -> VarianceEstimate:
     if np.all(x == x[0]):
         raise DegenerateData("all samples identical; variance estimate is degenerate")
     mean = float(np.mean(x))
-    var = float(np.var(x, ddof=1))
-    m4 = float(np.mean((x - mean) ** 4))
+    d2 = x - mean
+    d2 *= d2
+    var = float(d2.sum() / (n - 1))  # np.var(x, ddof=1) bit for bit
+    m4 = float(np.dot(d2, d2) / n)
     se2 = (m4 - var * var * (n - 3.0) / (n - 1.0)) / n
     return VarianceEstimate(
         n=n,

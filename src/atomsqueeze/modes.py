@@ -46,7 +46,9 @@ def _decay_integral(rate: float, window: float) -> float:
 
 def _l2_norm_sq(mode: "TemporalMode") -> float:
     """Squared L2 norm A^2 (1 - e^{-2 rate window}) / (2 rate), A = amplitude(0)."""
-    return mode.amplitude(0.0) ** 2 * _decay_integral(2.0 * mode.rate, mode.window)
+    a = mode.amplitude(0.0)
+    # A (A I), not A^2 I: for a subnormal window A^2 overflows while A I does not
+    return a * (a * _decay_integral(2.0 * mode.rate, mode.window))
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,7 @@
 """Command line front end: config layering, formats, provenance, exit codes."""
 
+import contextlib
+import io
 import json
 import math
 import os
@@ -9,8 +11,9 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from atomsqueeze import cli, fock, jaynes_cummings as jc
+from atomsqueeze import cli, fock, jaynes_cummings as jc, modes
 from atomsqueeze.errors import DegenerateData, InvalidParameter, InvalidState, NotSupported
 
 
@@ -26,6 +29,10 @@ def _run_to_text(argv, tmp_path, name: str) -> str:
 
 def _csv_body(text: str) -> list[str]:
     return [line for line in text.splitlines() if not line.startswith("#")]
+
+
+def _reject_constant(token):
+    raise ValueError(f"non-finite JSON token {token}")
 
 
 # ------------------------------------------------------------------ config
@@ -284,6 +291,14 @@ def test_budget_tiny_lo_rate_truncated(tmp_path):
     assert abs(res["eta_overlap"] - 0.8 * (1.0 - math.exp(-2.5)) ** 2) < 1e-12
 
 
+def test_budget_subnormal_window(tmp_path):
+    # a 1e-300-lifetime window is subnormal in seconds; the LO amplitude is ~1e154
+    argv = ["budget", "--collection", "0.5", "--lifetime-ns", "1.33", "--window-lifetimes", "1e-300"]
+    res = json.loads(_run_to_text(argv, tmp_path, "short.json"))["result"]
+    # a flat LO on [0, W] against the emission: eta_overlap = W / tau
+    assert abs(res["eta_overlap"] - 1e-300) <= 1e-12 * 1e-300
+
+
 def test_budget_nan_window_flag_exits_2(tmp_path, capsys):
     assert cli.main(["budget", "--collection", "0.9", "--window-lifetimes", "nan"]) == 2
     captured = capsys.readouterr()
@@ -453,3 +468,95 @@ def test_cli_import_loads_no_scipy():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+# ------------------------------------------------------------------ size caps
+
+CAPPED = [(command, p) for command, schema in cli.SCHEMAS.items() for p in schema if p.cap is not None]
+
+
+def _required_values(command: str) -> dict:
+    values = {"float": 0.5, "int": 200, "str": "custom"}
+    return {p.name: values[p.type.__name__] for p in cli.SCHEMAS[command] if p.required}
+
+
+def test_every_size_input_has_a_cap_above_its_readme_size():
+    readme = {"samples": 100_000, "res": 201, "steps": 200, "n-phases": 16}
+    assert len(CAPPED) == 6
+    for _, param in CAPPED:
+        assert readme[param.name] <= param.cap
+
+
+@pytest.mark.parametrize("command,param", CAPPED, ids=[f"{c}-{p.name}" for c, p in CAPPED])
+def test_size_cap_admits_the_cap_and_rejects_one_more(command, param):
+    values = _required_values(command)
+    resolved, _ = cli.resolve_params(command, {}, {**values, param.name: param.cap})
+    assert resolved[param.name] == param.cap
+    with pytest.raises(InvalidParameter, match=f"'{param.name}' is {param.cap + 1}, above its cap"):
+        cli.resolve_params(command, {}, {**values, param.name: param.cap + 1})
+    values.pop(param.name, None)  # the config file alone sets it
+    with pytest.raises(InvalidParameter, match="above its cap"):
+        cli.resolve_params(command, {param.name: str(param.cap + 1)}, values)
+
+
+def test_size_cap_exits_2_before_any_work(monkeypatch, capsys):
+    def never(params, explicit):
+        raise AssertionError("handler ran past a size cap")
+
+    for command, param in CAPPED:
+        monkeypatch.setitem(cli.HANDLERS, command, never)
+        argv = [command, *(f"--{k}={v}" for k, v in _required_values(command).items())]
+        assert cli.main([*argv, f"--{param.name}", str(param.cap + 1)]) == 2
+        assert "above its cap" in capsys.readouterr().err
+
+
+def test_jsonable_cleans_non_finite_floats_at_any_depth():
+    doc = {"a": [1.0, math.nan, (math.inf, {"b": [-math.inf]})], "c": 2}
+    clean = cli._jsonable(doc)
+    assert clean == {"a": [1.0, "nan", ["inf", {"b": ["-inf"]}]], "c": 2}
+    json.loads(json.dumps(clean), parse_constant=_reject_constant)
+
+
+# ----------------------------------------------------------------------- fuzz
+
+_FUZZ_FLOATS = st.one_of(
+    st.floats(-2.0, 2.0),
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, 0.5, 1.0, 1e-300, 1e300]),
+)
+_FUZZ_INTS = st.one_of(
+    st.integers(-3, 40),
+    st.integers(100, 200),
+    st.sampled_from([p.cap + 1 for _, p in CAPPED] + [10**30]),
+)
+_FUZZ_STRINGS = st.sampled_from(["custom", "bogus", *modes.EMITTER_PRESETS])
+
+
+@st.composite
+def _fuzz_argv(draw):
+    command = draw(st.sampled_from(sorted(cli.SCHEMAS)))
+    argv = [command, "--format", "json"]
+    for p in cli.SCHEMAS[command]:
+        if not p.required and draw(st.booleans()):
+            continue
+        if p.type is float:
+            value = repr(draw(_FUZZ_FLOATS))
+        elif p.type is int:
+            value = str(draw(_FUZZ_INTS))
+        else:
+            value = draw(_FUZZ_STRINGS)
+        argv.append(f"--{p.name}={value}")
+    return argv
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_fuzz_argv())
+def test_cli_fuzz_exits_with_a_documented_code_and_strict_json(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    if code == 0:
+        json.loads(out.getvalue(), parse_constant=_reject_constant)
+    else:
+        assert out.getvalue() == ""

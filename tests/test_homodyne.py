@@ -13,8 +13,33 @@ from atomsqueeze.errors import DegenerateData, InvalidParameter
 from atomsqueeze.homodyne import HomodyneRun, VarianceEstimate
 from atomsqueeze.superposition import SuperpositionSpec
 
+from helpers import random_mixture
+
 VACUUM = fock.to_density(fock.make_fock_vector([1.0]))
 ONE_THIRD = fock.to_density(superposition.make_superposition(SuperpositionSpec(math.sqrt(1.0 / 3.0), 0.0)))
+OLD_GRID = np.linspace(-6.0, 6.0, homodyne.CDF_POINTS)  # the fixed grid every n_max = 1 state keeps
+
+
+def _einsum_marginal(state, phi_lo, x):
+    """Reference marginal: the complex three-operand sum over the full psi array."""
+    rho = fock.rotate_phase(state, phi_lo).matrix
+    psi = homodyne.hermite_functions(rho.shape[0] - 1, x)
+    return np.einsum("mx,mn,nx->x", psi, rho, psi).real
+
+
+class _FixedUniforms:
+    """Stands in for a Generator whose random(n) returns chosen values."""
+
+    def __init__(self, u):
+        self.u = np.asarray(u, dtype=float)
+
+    def random(self, n):
+        assert n == self.u.size
+        return self.u.copy()
+
+
+def _bits(a):
+    return np.asarray(a, dtype=float).view(np.int64)
 
 
 # -------------------------------------------------------------- wavefunctions
@@ -87,6 +112,62 @@ def test_full_loss_collapses_marginal_to_vacuum():
         assert np.max(np.abs(cdf - cdf0)) < 1e-12
 
 
+@pytest.mark.parametrize("n_max", [1, 20, 52, 100])
+def test_marginal_matches_einsum_oracle(n_max):
+    rho, _, _ = random_mixture(np.random.default_rng(n_max), n_max)
+    # more points than one block, so a block boundary falls inside the grid
+    x = np.linspace(-9.0, 9.0, 5001)
+    for phi_lo in (0.0, 1.3):
+        got = homodyne.marginal_density(rho, phi_lo)(x)
+        assert np.max(np.abs(got - _einsum_marginal(rho, phi_lo, x))) < 1e-13
+
+
+def test_marginal_never_sees_more_than_one_block(monkeypatch):
+    sizes = []
+    real = homodyne.hermite_functions
+
+    def recording(n_max, x):
+        sizes.append(np.size(x))
+        return real(n_max, x)
+
+    monkeypatch.setattr(homodyne, "hermite_functions", recording)
+    vec, _ = superposition.squeezed_vacuum(0.5, 20)
+    homodyne.tabulated_cdf(fock.to_density(vec), 0.4)
+    assert sum(sizes) == homodyne.CDF_POINTS
+    assert max(sizes) <= homodyne._MARGINAL_BLOCK
+
+
+def test_n_max_1_states_keep_the_fixed_grid():
+    rng = np.random.default_rng(2024)
+    for _ in range(50):
+        spec = SuperpositionSpec(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 2.0 * math.pi)))
+        rho = homodyne.detected_state(
+            fock.to_density(superposition.make_superposition(spec)), float(rng.uniform(0.0, 1.0))
+        )
+        xs, _ = homodyne.tabulated_cdf(rho, float(rng.uniform(0.0, 2.0 * math.pi)))
+        assert np.array_equal(xs, OLD_GRID)
+    # |1> has the largest n_max = 1 variance, 3/4: 6.5 sqrt(3/4) = 5.63 < 6
+    xs, _ = homodyne.tabulated_cdf(fock.to_density(fock.make_fock_vector([0.0, 1.0])), 0.0)
+    assert np.array_equal(xs, OLD_GRID)
+
+
+@pytest.mark.parametrize("n_max", [52, 100])
+def test_wide_squeezed_vacuum_tabulates_and_samples(n_max):
+    # anti-squeezed quadrature of xi = 1: variance e^2/4 puts ~1e-5 of the
+    # mass outside [-6, 6], above the 1e-6 the CDF check allows
+    vec, _ = superposition.squeezed_vacuum(1.0, n_max)
+    rho = fock.to_density(vec)
+    phi_lo = math.pi / 2.0
+    exact = fock.quadrature_stats(rho, phi_lo).variance
+    assert abs(exact - math.exp(2.0) / 4.0) < 1e-2
+    xs, cdf = homodyne.tabulated_cdf(rho, phi_lo)
+    assert xs[-1] == -xs[0] > 6.0
+    assert cdf[-1] == 1.0
+    run = HomodyneRun(state=rho, phi_lo=phi_lo, eta_total=1.0, n_samples=100_000, seed=52)
+    est = homodyne.estimate_variance(homodyne.sample_quadratures(run))
+    assert abs(est.var_hat - exact) < 5.0 * est.std_error_of_var
+
+
 # ----------------------------------------------------------------- validation
 
 def test_run_validation():
@@ -134,6 +215,19 @@ def test_estimate_variance_matches_numpy():
     assert abs(est.mean_hat - float(np.mean(x))) < 1e-15
 
 
+def test_estimate_variance_matches_separate_passes():
+    rng = np.random.default_rng(2718)
+    for n in (2, 3, 500, 100_000):
+        x = 3.0 + rng.standard_t(5, size=n)
+        est = homodyne.estimate_variance(x)
+        assert est.var_hat == float(np.var(x, ddof=1))
+        mean = float(np.mean(x))
+        m4 = float(np.mean((x - mean) ** 4))
+        var = float(np.var(x, ddof=1))
+        old = math.sqrt(max(0.0, (m4 - var * var * (n - 3.0) / (n - 1.0)) / n))
+        assert abs(est.std_error_of_var - old) <= 1e-12 * old
+
+
 def test_estimate_variance_error_paths():
     with pytest.raises(InvalidParameter):
         homodyne.estimate_variance(np.array([1.0]))
@@ -151,6 +245,44 @@ def test_sampling_is_reproducible_per_seed():
     assert np.array_equal(a, b)
     other = HomodyneRun(state=ONE_THIRD, phi_lo=0.0, eta_total=1.0, n_samples=500, seed=43)
     assert not np.array_equal(a, homodyne.sample_quadratures(other))
+
+
+@pytest.mark.parametrize("n", [100, 2000, 10_000, 1_000_000])
+def test_draw_equals_np_interp_bit_for_bit(n):
+    vec, _ = superposition.squeezed_vacuum(0.75, 20)
+    states = [(ONE_THIRD, 0.3), (fock.apply_loss(ONE_THIRD, 0.7), 2.1), (fock.to_density(vec), 1.0)]
+    for k, (state, phi_lo) in enumerate(states):
+        xs, cdf = homodyne.tabulated_cdf(state, phi_lo)
+        got = homodyne._draw(xs, cdf, n, np.random.Generator(np.random.Philox(k)))
+        want = np.interp(np.random.Generator(np.random.Philox(k)).random(n), cdf, xs)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_draw_equals_np_interp_on_edge_uniforms():
+    # the vacuum CDF saturates: toward x = 6 it reaches 1.0 and stays there;
+    # flat runs at 0 (clipped round-off in a tail) and inside are added by
+    # hand, and a subnormal step whose chord slope overflows to inf
+    xs, cdf = homodyne.tabulated_cdf(VACUUM, 0.0)
+    cdf = cdf.copy()
+    cdf[:40] = 0.0
+    cdf[40] = 5e-324
+    cdf[30000:30020] = cdf[30000]
+    assert np.count_nonzero(cdf == 1.0) > 1000 and np.all(np.diff(cdf) >= 0.0)
+    top = np.unique(cdf[cdf < 1.0])[-200:]
+    knots = cdf[np.random.default_rng(5).integers(0, cdf.size - 1, 3000)]
+    u = np.concatenate([
+        [0.0, np.nextafter(0.0, 1.0), 2.0**-53, 0.5, np.nextafter(1.0, 0.0), cdf[30000]],
+        knots,
+        np.nextafter(knots, 1.0),
+        np.nextafter(knots[knots > 0.0], 0.0),
+        top,
+        np.nextafter(top, 1.0),
+    ])
+    u = u[u < 1.0]
+    for n in (u.size, 100):  # a wide and a narrow guide table
+        sub = u[:n]
+        got = homodyne._draw(xs, cdf, n, _FixedUniforms(sub))
+        assert np.array_equal(_bits(got), _bits(np.interp(sub, cdf, xs)))
 
 
 def test_vacuum_sampling_recovers_quarter_variance():
