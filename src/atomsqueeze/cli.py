@@ -30,9 +30,10 @@ EXIT_IO = 4
 
 _REQUIRED = object()
 
-# Caps on the inputs that size memory; larger values exit 2.  Table rows are
-# held as Python tuples (~100 bytes per number), so each cap keeps a run
-# within a few hundred MiB.
+# Caps on the inputs that size memory; larger values exit 2.  Results are held
+# as numpy arrays, but the output text is built whole before it is written
+# (~100 bytes per CSV cell at the peak), so each cap keeps a run within a few
+# hundred MiB.
 MAX_SAMPLES = 1_000_000
 MAX_RES = 1001
 MAX_STEPS = 100_000
@@ -128,10 +129,13 @@ DEFAULT_FORMAT = {
 
 @dataclass
 class CommandOutput:
+    """A handler's output.  Arrays in `result` become JSON lists only when JSON
+    is written.  `columns` are the CSV table, named 1-D arrays; when it is
+    None the CSV body is the one-row table of the scalar results."""
+
     n_max: int
     result: dict
-    table_header: list | None = None
-    table_rows: list | None = None
+    columns: dict[str, np.ndarray] | None = None
     extra_meta: dict = field(default_factory=dict)
 
 
@@ -194,15 +198,17 @@ def resolve_params(command: str, config_values: dict[str, str], cli_values: dict
 
 
 def _fmt(v) -> str:
+    if isinstance(v, float):  # first: bool is no float, so a float cell takes one test
+        return repr(v)
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
     return str(v)
 
 
 def _jsonable(v):
-    """v with every non-finite float, at any depth, replaced by its repr."""
+    """v as JSON values, every non-finite float at any depth replaced by its repr."""
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
     if isinstance(v, float) and not math.isfinite(v):
         return repr(v)
     if isinstance(v, dict):
@@ -232,7 +238,7 @@ def _json_text(meta: dict, result: dict) -> str:
     # keep the document strict JSON: no bare Infinity/NaN tokens
     return json.dumps(_jsonable({"meta": meta, "result": result}), indent=2) + "\n"
 
-def _csv_text(meta: dict, header: list, rows: list) -> str:
+def _csv_text(meta: dict, columns: dict[str, np.ndarray]) -> str:
     lines = []
     for key, val in meta.items():
         if key == "parameters":
@@ -240,15 +246,13 @@ def _csv_text(meta: dict, header: list, rows: list) -> str:
             lines.append(f"# parameters: {body}")
         else:
             lines.append(f"# {key}: {_fmt(val)}")
-    lines.append(",".join(header))
-    for row in rows:
-        lines.append(",".join(_fmt(v) for v in row))
+    lines.append(",".join(columns))
+    lines.extend(map(",".join, zip(*(map(_fmt, col.tolist()) for col in columns.values()))))
     return "\n".join(lines) + "\n"
 
 
-def _scalar_table(result: dict) -> tuple[list, list]:
-    cols = [k for k, v in result.items() if isinstance(v, (int, float, bool, str))]
-    return cols, [tuple(result[k] for k in cols)]
+def _scalar_table(result: dict) -> dict[str, np.ndarray]:
+    return {k: np.array([v]) for k, v in result.items() if isinstance(v, (int, float, bool, str))}
 
 
 def _source_spec(params: dict, phase_key: str = "phi") -> superposition.SuperpositionSpec:
@@ -257,12 +261,11 @@ def _source_spec(params: dict, phase_key: str = "phi") -> superposition.Superpos
 
 def _table(n_max: int, header: list, rows) -> CommandOutput:
     """Output whose JSON result and CSV body are the same float rows."""
-    listed = [tuple(float(v) for v in row) for row in rows]
+    rows = np.asarray(rows, float)
     return CommandOutput(
         n_max=n_max,
-        result={"columns": header, "rows": listed},
-        table_header=header,
-        table_rows=listed,
+        result={"columns": header, "rows": rows},
+        columns=dict(zip(header, rows.T)),
     )
 
 
@@ -304,26 +307,24 @@ def _run_wigner(params: dict, explicit: set) -> CommandOutput:
     rho = fock.to_density(superposition.make_superposition(spec))
     half = params["range"]
     grid = wigner.wigner_of_state(rho, (-half, half), (-half, half), params["res"])
-    rows = [
-        (float(grid.x1[i]), float(grid.x2[j]), float(grid.values[i, j]))
-        for i in range(grid.x1.size)
-        for j in range(grid.x2.size)
-    ]
     result = {
         "x1_range": [-half, half],
         "x2_range": [-half, half],
         "resolution": params["res"],
         "convention": "vacuum-variance=1/4",
-        "x1": [float(v) for v in grid.x1],
-        "x2": [float(v) for v in grid.x2],
-        "values": [[float(v) for v in row] for row in grid.values],
+        "x1": grid.x1,
+        "x2": grid.x2,
+        "values": grid.values,
         "integral": grid.integral,
     }
     return CommandOutput(
         n_max=1,
         result=result,
-        table_header=["x1", "x2", "w"],
-        table_rows=rows,
+        columns={  # row-major: x1 outer, x2 inner
+            "x1": np.repeat(grid.x1, grid.x2.size),
+            "x2": np.tile(grid.x2, grid.x1.size),
+            "w": grid.values.ravel(),
+        },
         extra_meta={"convention": "vacuum-variance=1/4", "integral": grid.integral},
     )
 
@@ -351,12 +352,7 @@ def _run_homodyne(params: dict, explicit: set) -> CommandOutput:
         "exact_variance": exact.variance,
         "exact_db": fock.variance_to_db(exact.variance),
     }
-    return CommandOutput(
-        n_max=rho.n_max,
-        result=result,
-        table_header=["sample"],
-        table_rows=[(float(x),) for x in samples],
-    )
+    return CommandOutput(n_max=rho.n_max, result=result, columns={"sample": samples})
 
 
 def _run_phase_scan(params: dict, explicit: set) -> CommandOutput:
@@ -416,7 +412,7 @@ def _run_window_sweep(params: dict, explicit: set) -> CommandOutput:
         spec, params["collection"], emitter, grid * emitter.lifetime_tau, params["detector"]
     )
     header = ["window_s", "window_lifetimes", "eta_overlap", "detected_db"]
-    return _table(1, header, [(w, w / emitter.lifetime_tau, ov, db) for w, ov, db in rows])
+    return _table(1, header, np.insert(rows, 1, rows[:, 0] / emitter.lifetime_tau, axis=1))
 
 
 HANDLERS = {
@@ -466,12 +462,7 @@ def run(args: argparse.Namespace) -> int:
     if args.fmt == "json":
         text = _json_text(meta, out.result)
     else:
-        header, rows = (
-            (out.table_header, out.table_rows)
-            if out.table_header is not None
-            else _scalar_table(out.result)
-        )
-        text = _csv_text(meta, header, rows)
+        text = _csv_text(meta, out.columns if out.columns is not None else _scalar_table(out.result))
     if args.out is None:
         sys.stdout.write(text)
     else:

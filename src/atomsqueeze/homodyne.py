@@ -138,7 +138,7 @@ def detected_state(state: fock.FockDensity, eta_total: float) -> fock.FockDensit
     return state if eta_total == 1.0 else fock.apply_loss(state, eta_total)
 
 
-def _draw(xs: np.ndarray, cdf: np.ndarray, n: int, rng: np.random.Generator) -> np.ndarray:
+def _draw(xs: np.ndarray, cdf: np.ndarray, n: int, rng: "np.random.Generator") -> np.ndarray:
     """np.interp(rng.random(n), cdf, xs) bit for bit, for a CDF from 0 to 1.
 
     The bracket of u is j, the last knot with cdf[j] <= u.  The guide table

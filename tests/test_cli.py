@@ -13,7 +13,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atomsqueeze import cli, fock, jaynes_cummings as jc, modes
+from atomsqueeze import cli, fock, homodyne, jaynes_cummings as jc, modes
 from atomsqueeze.errors import DegenerateData, InvalidParameter, InvalidState, NotSupported
 
 
@@ -470,6 +470,15 @@ def test_cli_import_loads_no_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_cli_import_loads_no_numpy_random():
+    src_dir = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, atomsqueeze.cli; print('numpy.random' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"
+
+
 # ------------------------------------------------------------------ size caps
 
 CAPPED = [(command, p) for command, schema in cli.SCHEMAS.items() for p in schema if p.cap is not None]
@@ -517,6 +526,13 @@ def test_jsonable_cleans_non_finite_floats_at_any_depth():
     json.loads(json.dumps(clean), parse_constant=_reject_constant)
 
 
+def test_jsonable_turns_arrays_into_lists():
+    finite = cli._jsonable({"rows": np.array([[0.25, -1.5], [2.0, 3.0]])})
+    assert finite == {"rows": [[0.25, -1.5], [2.0, 3.0]]}
+    assert type(finite["rows"][0][0]) is float
+    assert cli._jsonable(np.array([1.0, -np.inf, np.nan])) == [1.0, "-inf", "nan"]
+
+
 # ----------------------------------------------------------------------- fuzz
 
 _FUZZ_FLOATS = st.one_of(
@@ -560,3 +576,130 @@ def test_cli_fuzz_exits_with_a_documented_code_and_strict_json(argv):
         json.loads(out.getvalue(), parse_constant=_reject_constant)
     else:
         assert out.getvalue() == ""
+
+
+def _csv_table(text: str) -> tuple[list[str], list[list[str]]]:
+    body = _csv_body(text)
+    return body[0].split(","), [line.split(",") for line in body[1:]]
+
+
+def _assert_csv_cell(column: str, cell: str) -> None:
+    if cell in ("true", "false"):
+        return
+    if column == "preset":
+        assert cell == "custom" or cell in modes.EMITTER_PRESETS, cell
+    elif column == "lo_window_lifetimes" and cell == "inf":  # an untruncated LO window
+        return
+    else:
+        assert math.isfinite(float(cell)), (column, cell)
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(_fuzz_argv().map(lambda argv: [argv[0], "--format", "csv", *argv[3:]]))
+def test_cli_fuzz_csv_rows_are_full_and_cells_finite(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+        code = cli.main(argv)
+    assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
+    if code != 0:
+        assert out.getvalue() == ""
+        return
+    header, rows = _csv_table(out.getvalue())
+    assert rows
+    for row in rows:
+        assert len(row) == len(header), (argv, row)
+        for column, cell in zip(header, row):
+            _assert_csv_cell(column, cell)
+
+
+# a valid size well under each cap, so that only a value at the cap is costly
+_SMALL_SIZE = {"samples": 200, "res": 16, "steps": 5, "n-phases": 4}
+
+
+@st.composite
+def _fuzz_config(draw):
+    """(command, config text, expected exit code or None when any documented code will do)."""
+    command = draw(st.sampled_from(sorted(cli.SCHEMAS)))
+    schema = cli.SCHEMAS[command]
+    at_cap = draw(st.sampled_from([None, *(p.name for p in schema if p.cap is not None)]))
+    entries, above_cap = [], False
+    for p in schema:
+        if p.cap is not None:
+            small = _SMALL_SIZE[p.name]
+            value = p.cap if p.name == at_cap else draw(st.sampled_from([small, small, p.cap + 1]))
+            above_cap |= value > p.cap
+            text = str(value)
+        elif not p.required and draw(st.booleans()):
+            continue
+        elif p.type is float:
+            text = repr(draw(_FUZZ_FLOATS))
+        elif p.type is int:
+            text = str(draw(_FUZZ_INTS))
+        else:
+            text = draw(_FUZZ_STRINGS)
+        entries.append((p.name, text))
+    duplicate = bool(entries) and draw(st.integers(0, 3)) == 0
+    if duplicate:
+        entries.append(draw(st.sampled_from(entries)))
+    lines = [
+        f"{draw(st.sampled_from([name, name.replace('-', '_')]))} = {text}"
+        for name, text in draw(st.permutations(entries))
+    ]
+    return command, "\n".join(lines) + "\n", 2 if duplicate or above_cap else None
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(case=_fuzz_config(), fmt=st.sampled_from(["json", "csv"]))
+def test_cli_fuzz_config_files_exit_with_a_documented_code(case, fmt, tmp_path_factory):
+    command, text, expected = case
+    cfg = tmp_path_factory.mktemp("fuzz") / "run.cfg"
+    cfg.write_text(text)
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+        code = cli.main([command, "--config", str(cfg), "--format", fmt])
+    assert code in (0, 2, 3, 4), (command, text, code, err.getvalue())
+    if expected is not None:
+        assert code == expected, (command, text, err.getvalue())
+    if code != 0:
+        assert out.getvalue() == ""
+
+
+# ----------------------------------------------------------- JSON and CSV agree
+
+TABLE_CASES = [
+    ["jc-sweep", "--theta", "2.0944", "--phi", "1.5708", "--t-max", "6.2832", "--steps", "50"],
+    ["phase-scan", "--beta", "0.5", "--phi", "1.5708", "--samples", "300", "--n-phases", "8", "--seed", "5"],
+    ["window-sweep", "--collection", "0.94", "--min-lifetimes", "0.5", "--max-lifetimes", "10", "--steps", "20"],
+]
+
+
+@pytest.mark.parametrize("argv", TABLE_CASES, ids=[c[0] for c in TABLE_CASES])
+def test_csv_rows_equal_json_rows(argv, tmp_path):
+    doc = json.loads(_run_to_text([*argv, "--format", "json"], tmp_path, "t.json"))["result"]
+    header, rows = _csv_table(_run_to_text([*argv, "--format", "csv"], tmp_path, "t.csv"))
+    assert header == doc["columns"]
+    assert [[float(cell) for cell in row] for row in rows] == doc["rows"]
+
+
+def test_wigner_csv_is_the_json_grid_row_major(tmp_path):
+    argv = ["wigner", "--beta", "0.57735", "--phi", "0.3", "--res", "23"]
+    doc = json.loads(_run_to_text([*argv, "--format", "json"], tmp_path, "w.json"))["result"]
+    header, rows = _csv_table(_run_to_text([*argv, "--format", "csv"], tmp_path, "w.csv"))
+    assert header == ["x1", "x2", "w"]
+    expected = [
+        [x1, x2, w]
+        for x1, values in zip(doc["x1"], doc["values"])
+        for x2, w in zip(doc["x2"], values)
+    ]
+    assert [[float(cell) for cell in row] for row in rows] == expected
+
+
+def test_homodyne_csv_samples_reproduce_json_estimates(tmp_path):
+    argv = ["homodyne", "--beta", "0.5", "--phi", "0.7", "--samples", "5000", "--seed", "17"]
+    res = json.loads(_run_to_text([*argv, "--format", "json"], tmp_path, "h.json"))["result"]
+    header, rows = _csv_table(_run_to_text([*argv, "--format", "csv"], tmp_path, "h.csv"))
+    assert header == ["sample"]
+    est = homodyne.estimate_variance(np.array([float(row[0]) for row in rows]))
+    assert est.n == res["n"] == 5000
+    assert est.mean_hat == res["mean_hat"]  # repr round-trips every sample exactly
+    assert est.var_hat == res["var_hat"]
