@@ -33,11 +33,14 @@ _REQUIRED = object()
 # Caps on the inputs that size memory; larger values exit 2.  Results are held
 # as numpy arrays, but the output text is built whole before it is written
 # (~100 bytes per CSV cell at the peak), so each cap keeps a run within a few
-# hundred MiB.
+# hundred MiB.  A phase scan draws samples x n-phases values, so that product
+# has its own cap: either input at its cap with the other at its default
+# passes, both at their caps (4.1e9 draws, minutes of work) do not.
 MAX_SAMPLES = 1_000_000
 MAX_RES = 1001
 MAX_STEPS = 100_000
 MAX_PHASES = 4096
+MAX_SCAN_DRAWS = 16 * MAX_SAMPLES
 
 
 @dataclass(frozen=True)
@@ -194,6 +197,13 @@ def resolve_params(command: str, config_values: dict[str, str], cli_values: dict
             raise InvalidParameter(f"parameter {p.name!r} is {value!r}, above its cap of {p.cap}")
         resolved[p.name] = value
         explicit.add(p.name)
+    if {"samples", "n-phases"} <= resolved.keys():
+        draws = resolved["samples"] * resolved["n-phases"]
+        if draws > MAX_SCAN_DRAWS:
+            raise InvalidParameter(
+                f"'samples' x 'n-phases' is {resolved['samples']!r} x {resolved['n-phases']!r}"
+                f" = {draws!r} draws, above their cap of {MAX_SCAN_DRAWS}"
+            )
     return resolved, explicit
 
 

@@ -11,19 +11,27 @@ oscillator eigenfunctions in these units (vacuum variance 1/4)
     psi_0(x) = (2/pi)^{1/4} e^{-x^2},
     psi_n(x) = (2x/sqrt(n)) psi_{n-1}(x) - sqrt((n-1)/n) psi_{n-2}(x).
 
-It is evaluated as one real matrix product per block of 4,096 points, so
-no (n_max+1) x len(x) array of psi is ever held.
+It is evaluated as one real matrix product per block of 4,096 points.
+`tabulated_cdf` computes each psi block as it needs it, so it never holds
+an (n_max+1) x len(x) array of psi.  `phase_scan` computes the moments of
+each phase once, for both the support and the exact variance, and phases
+with equal supports (every n_max = 1 state has [-6, 6]) share one grid;
+when the basis is small (at most 2^21 doubles, n_max <= 31) they share its
+psi blocks too.  The arithmetic per block is the same either way.
 
 Sampling inverts a trapezoid-tabulated CDF on a 2^16-point grid over
 [-w, w], w = max(6, |mean| + 6.5 sqrt(variance)) from the exact moments of
 X_phi: every n_max = 1 state keeps [-6, 6], and wider states (squeezed
 vacua at large cutoffs) get a support that holds their mass.  The tabulated
-mass must be 1 within 1e-6.  The inverse CDF is np.interp(u, cdf, x)
-computed bit for bit through a guide table, so a seed gives the same
-samples as plain interpolation.  Randomness comes from numpy's
-counter-based Philox generator so sample streams are reproducible across
-platforms for a given seed; substreams for multi-phase scans are spawned
-through SeedSequence.
+mass must be 1 within 1e-6.  The inverse CDF is np.interp(u, cdf, x) bit
+for bit: below 8,192 draws it is np.interp itself; above, a guide table
+(Chen & Asau 1974; Devroye 1986, sec. III.2) brackets each u, one step
+forward corrects most misses, and a slope table holding np.interp's own
+per-bracket division gives the chord.  So a seed gives the same samples
+as plain interpolation.  Randomness comes from numpy's counter-based
+Philox generator so sample streams are reproducible across platforms for
+a given seed; substreams for multi-phase scans are spawned through
+SeedSequence.
 """
 
 import math
@@ -42,6 +50,8 @@ DENSITY_FLOOR = -1e-12  # marginal values below this mean a broken state
 _MARGINAL_BLOCK = 4096  # x points per psi block in the marginal
 _DRAW_CHUNK = 2**16  # uniforms per chunk of the inverse CDF
 _GUIDE_BINS = 2**16  # most guide-table bins
+_INTERP_MAX_DRAWS = 8192  # fewer draws than this go straight to np.interp
+_BASIS_MAX_DOUBLES = 2**21  # phase_scan keeps a psi basis of at most 16 MiB
 
 
 def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -62,6 +72,23 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     return out
 
 
+def _psi_blocks(n_max: int, xs: np.ndarray):
+    """hermite_functions on consecutive blocks of _MARGINAL_BLOCK points of xs."""
+    for start in range(0, xs.size, _MARGINAL_BLOCK):
+        yield hermite_functions(n_max, xs[start : start + _MARGINAL_BLOCK])
+
+
+def _marginal(rho: np.ndarray, blocks, size: int) -> np.ndarray:
+    """p(x) = sum_mn rho_mn psi_m(x) psi_n(x) for real rho, block by block."""
+    vals = np.empty(size)
+    start = 0
+    for psi in blocks:
+        stop = start + psi.shape[1]
+        vals[start:stop] = np.einsum("mx,mx->x", psi, rho @ psi)
+        start = stop
+    return vals
+
+
 def marginal_density(state: fock.FockDensity, phi_lo: float):
     """Probability density of X_phi_lo as a callable of x (scalar or array)."""
     # Im rho is antisymmetric for Hermitian rho, so only Re rho contributes
@@ -70,22 +97,21 @@ def marginal_density(state: fock.FockDensity, phi_lo: float):
 
     def density(x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
-        vals = np.empty(xs.size)
-        for start in range(0, xs.size, _MARGINAL_BLOCK):
-            block = slice(start, start + _MARGINAL_BLOCK)
-            psi = hermite_functions(n_max, xs[block])
-            vals[block] = np.einsum("mx,mx->x", psi, rho @ psi)
+        vals = _marginal(rho, _psi_blocks(n_max, xs), xs.size)
         return vals[0] if np.isscalar(x) or np.ndim(x) == 0 else vals
 
     return density
 
 
-def tabulated_cdf(state: fock.FockDensity, phi_lo: float) -> tuple[np.ndarray, np.ndarray]:
-    """(x grid, CDF) of the X_phi_lo marginal on a support sized to the state."""
-    st = fock.quadrature_stats(state, phi_lo)
-    half = max(MIN_HALF_WIDTH, abs(st.mean) + SUPPORT_SIGMAS * math.sqrt(st.variance))
-    xs = np.linspace(-half, half, CDF_POINTS)
-    p = marginal_density(state, phi_lo)(xs)
+def _half_width(stats: fock.QuadratureStats) -> float:
+    """w of the CDF support [-w, w]: max(6, |mean| + 6.5 sd) from the exact moments."""
+    return max(MIN_HALF_WIDTH, abs(stats.mean) + SUPPORT_SIGMAS * math.sqrt(stats.variance))
+
+
+def _tabulate(state: fock.FockDensity, phi_lo: float, xs: np.ndarray, blocks) -> np.ndarray:
+    """Normalised trapezoid CDF of X_phi_lo on xs, from the psi `blocks` of xs."""
+    rho = fock.rotate_phase(state, phi_lo).matrix.real
+    p = _marginal(rho, blocks, xs.size)
     if not (np.min(p) >= DENSITY_FLOOR):
         raise InvalidState(f"marginal density reaches {np.min(p)!r} < {DENSITY_FLOOR}")
     p = np.clip(p, 0.0, None)
@@ -93,8 +119,16 @@ def tabulated_cdf(state: fock.FockDensity, phi_lo: float) -> tuple[np.ndarray, n
     cdf = np.concatenate([[0.0], np.cumsum((p[1:] + p[:-1]) * (dx / 2.0))])
     total = cdf[-1]
     if not (abs(total - 1.0) <= 1e-6):
+        half = float(xs[-1])
         raise InvalidState(f"marginal mass on [{-half!r}, {half!r}] is {total!r}, not 1")
-    return xs, cdf / total
+    return cdf / total
+
+
+def tabulated_cdf(state: fock.FockDensity, phi_lo: float) -> tuple[np.ndarray, np.ndarray]:
+    """(x grid, CDF) of the X_phi_lo marginal on a support sized to the state."""
+    half = _half_width(fock.quadrature_stats(state, phi_lo))
+    xs = np.linspace(-half, half, CDF_POINTS)
+    return xs, _tabulate(state, phi_lo, xs, _psi_blocks(state.n_max, xs))
 
 
 @dataclass(frozen=True)
@@ -141,29 +175,37 @@ def detected_state(state: fock.FockDensity, eta_total: float) -> fock.FockDensit
 def _draw(xs: np.ndarray, cdf: np.ndarray, n: int, rng: "np.random.Generator") -> np.ndarray:
     """np.interp(rng.random(n), cdf, xs) bit for bit, for a CDF from 0 to 1.
 
-    The bracket of u is j, the last knot with cdf[j] <= u.  The guide table
+    Below _INTERP_MAX_DRAWS draws np.interp itself is the fastest.  Above,
+    the bracket of u is j, the last knot with cdf[j] <= u.  The guide table
     holds the bracket of each bin edge b/bins, where bins is a power of two
     (so the edges are exact) no larger than n or 2^16 (so the table costs
-    no more than the draws).  Every u in bin b has j >= guide[b]; one
-    comparison with cdf[guide[b] + 1] settles j = guide[b], and
-    searchsorted brackets the rest.  The value is then np.interp's own:
-    xs[j] where u == cdf[j], else the chord through knots j and j+1.
-    Uniforms become samples in place, one chunk at a time, so temporaries
-    stay chunk-sized.
+    no more than the draws).  Every u in bin b has j >= guide[b].  Where u
+    has passed the next knot, j takes one step forward: in the bulk of the
+    CDF a bin holds at most one knot, so the step settles nearly every
+    such u, and searchsorted brackets the few still short.  The value is
+    then np.interp's own: xs[j] where u == cdf[j], else the chord
+    slope[j] * (u - cdf[j]) + xs[j], with slope the same per-bracket
+    division np.interp makes, done once per CDF.  Uniforms become samples
+    in place, one chunk at a time, so temporaries stay chunk-sized.
     """
+    if n < _INTERP_MAX_DRAWS:
+        return np.interp(rng.random(n), cdf, xs)
     bins = min(_GUIDE_BINS, 1 << (int(n).bit_length() - 1))
     guide = np.searchsorted(cdf, np.arange(bins + 1) / bins, "right") - 1
     out = rng.random(n)
-    # a subnormal CDF step can give an infinite chord slope; np.interp meets
-    # one only where u == cdf[j], which takes xs[j] below
-    with np.errstate(over="ignore", invalid="ignore"):
+    # a flat CDF run gives an infinite slope, and a subnormal step can too;
+    # np.interp meets one only where u == cdf[j], which takes xs[j] below
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        slope = np.diff(xs) / np.diff(cdf)
         for start in range(0, n, _DRAW_CHUNK):
             u = out[start : start + _DRAW_CHUNK]
             j = guide[(u * bins).astype(np.intp)]
-            miss = u >= cdf[j + 1]
-            j[miss] = np.searchsorted(cdf, u[miss], "right") - 1
+            j += u >= cdf[j + 1]
+            far = u >= cdf[j + 1]
+            if far.any():
+                j[far] = np.searchsorted(cdf, u[far], "right") - 1
             lo = cdf[j]
-            x = (xs[j + 1] - xs[j]) / (cdf[j + 1] - lo) * (u - lo) + xs[j]
+            x = slope[j] * (u - lo) + xs[j]
             on_knot = u == lo
             x[on_knot] = xs[j[on_knot]]
             u[:] = x
@@ -234,18 +276,27 @@ def phase_scan(
     # validates eta/n/seed once; per-phase draws reuse the lossy state
     HomodyneRun(state=state, phi_lo=0.0, eta_total=eta_total, n_samples=n_samples, seed=seed)
     streams = np.random.SeedSequence(seed).spawn(n_phases)
+    # phases with equal supports (every n_max = 1 state has [-6, 6]) share
+    # one grid and, when the basis fits in _BASIS_MAX_DOUBLES, its psi blocks
+    keep_basis = (lossy.n_max + 1) * CDF_POINTS <= _BASIS_MAX_DOUBLES
+    half = basis = None
     rows = np.empty((n_phases, 6))
     for k, phi in enumerate(np.linspace(0.0, 2.0 * math.pi, n_phases, endpoint=False)):
-        xs, cdf = tabulated_cdf(lossy, phi)
+        stats = fock.quadrature_stats(lossy, phi)
+        w = _half_width(stats)
+        if w != half:
+            half, xs = w, np.linspace(-w, w, CDF_POINTS)
+            basis = list(_psi_blocks(lossy.n_max, xs)) if keep_basis else None
+        blocks = basis if keep_basis else _psi_blocks(lossy.n_max, xs)
+        cdf = _tabulate(lossy, phi, xs, blocks)
         rng = np.random.Generator(np.random.Philox(streams[k]))
         est = estimate_variance(_draw(xs, cdf, n_samples, rng))
-        v_exact = fock.quadrature_stats(lossy, phi).variance
         rows[k] = (
             phi,
             est.var_hat,
             fock.variance_to_db(est.var_hat),
             est.std_error_of_var,
-            v_exact,
-            fock.variance_to_db(v_exact),
+            stats.variance,
+            fock.variance_to_db(stats.variance),
         )
     return rows

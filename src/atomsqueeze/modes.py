@@ -71,6 +71,8 @@ class EmitterParams:
     def from_lifetime(cls, tau: float) -> "EmitterParams":
         if not math.isfinite(tau) or tau <= 0.0:
             raise InvalidParameter(f"lifetime must be finite and > 0, got {tau!r}")
+        if not math.isfinite(1.0 / tau):  # the smallest subnormal lifetimes have no finite rate
+            raise InvalidParameter(f"lifetime {tau!r} is too small: 1/lifetime overflows")
         return cls(lifetime_tau=tau, gamma_rate=1.0 / tau, linewidth_hz=1.0 / (2.0 * math.pi * tau))
 
     @classmethod

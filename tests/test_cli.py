@@ -321,6 +321,14 @@ def test_budget_nan_window_config_exits_2(tmp_path, capsys):
     assert "'window-lifetimes' is NaN" in captured.err
 
 
+def test_budget_subnormal_lifetime_exits_2_naming_the_lifetime(capsys):
+    assert cli.main(["budget", "--collection", "0.5", "--lifetime-ns", "1e-300"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: parameter: lifetime 1e-309")
+    assert "gamma_rate" not in captured.err
+
+
 def test_homodyne_non_finite_lo_phase_exits_2(capsys):
     base = ["homodyne", "--beta", "0.5", "--samples", "1000", "--seed", "1"]
     assert cli.main([*base, "--lo-phase", "nan"]) == 2
@@ -517,6 +525,46 @@ def test_size_cap_exits_2_before_any_work(monkeypatch, capsys):
         argv = [command, *(f"--{k}={v}" for k, v in _required_values(command).items())]
         assert cli.main([*argv, f"--{param.name}", str(param.cap + 1)]) == 2
         assert "above its cap" in capsys.readouterr().err
+
+
+# 16,000,000 = 1,000,000 x 16 is the bound; 16,000,001 = 24,961 x 641 is one draw above it
+_SCAN_AT_BOUND = {"samples": cli.MAX_SAMPLES, "n-phases": 16}
+_SCAN_ABOVE_BOUND = {"samples": 24_961, "n-phases": 641}
+
+
+def test_scan_draw_cap_admits_the_bound_and_rejects_one_more():
+    assert cli.MAX_SCAN_DRAWS == 16_000_000 == 24_961 * 641 - 1
+    beta = {"beta": 0.5, "seed": 1}
+    resolved, _ = cli.resolve_params("phase-scan", {}, {**beta, **_SCAN_AT_BOUND})
+    assert resolved["samples"] * resolved["n-phases"] == cli.MAX_SCAN_DRAWS
+    message = r"'samples' x 'n-phases' is 24961 x 641 = 16000001 draws, above their cap"
+    with pytest.raises(InvalidParameter, match=message):
+        cli.resolve_params("phase-scan", {}, {**beta, **_SCAN_ABOVE_BOUND})
+    # the config file alone, and the config file with one flag
+    config = {k: str(v) for k, v in _SCAN_AT_BOUND.items()}
+    resolved, _ = cli.resolve_params("phase-scan", config, beta)
+    assert resolved["samples"] * resolved["n-phases"] == cli.MAX_SCAN_DRAWS
+    config = {k: str(v) for k, v in _SCAN_ABOVE_BOUND.items()}
+    with pytest.raises(InvalidParameter, match=message):
+        cli.resolve_params("phase-scan", config, beta)
+    with pytest.raises(InvalidParameter, match=message):
+        cli.resolve_params("phase-scan", {"n-phases": "641"}, {**beta, "samples": 24_961})
+
+
+def test_scan_draw_cap_exits_2_before_any_work(monkeypatch, capsys, tmp_path):
+    def never(params, explicit):
+        raise AssertionError("handler ran past the scan draw cap")
+
+    monkeypatch.setitem(cli.HANDLERS, "phase-scan", never)
+    argv = ["phase-scan", "--beta", "0.5", "--seed", "1"]
+    flags = [f"--{k}={v}" for k, v in _SCAN_ABOVE_BOUND.items()]
+    assert cli.main([*argv, *flags]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: parameter:") and "'samples' x 'n-phases'" in err
+    cfg = tmp_path / "scan.cfg"
+    cfg.write_text("".join(f"{k} = {v}\n" for k, v in _SCAN_ABOVE_BOUND.items()))
+    assert cli.main([*argv, "--config", str(cfg)]) == 2
+    assert "above their cap" in capsys.readouterr().err
 
 
 def test_jsonable_cleans_non_finite_floats_at_any_depth():

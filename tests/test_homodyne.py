@@ -285,6 +285,59 @@ def test_draw_equals_np_interp_on_edge_uniforms():
         assert np.array_equal(_bits(got), _bits(np.interp(sub, cdf, xs)))
 
 
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_draw_equals_np_interp_around_the_interp_threshold(offset, monkeypatch):
+    n = homodyne._INTERP_MAX_DRAWS + offset
+    interp = np.interp
+    calls = []
+
+    def recording(u, cdf, xs):
+        calls.append(np.size(u))
+        return interp(u, cdf, xs)
+
+    vec, _ = superposition.squeezed_vacuum(0.75, 20)
+    states = [(ONE_THIRD, 0.3), (fock.apply_loss(ONE_THIRD, 0.7), 2.1), (fock.to_density(vec), 1.0)]
+    for k, (state, phi_lo) in enumerate(states):
+        xs, cdf = homodyne.tabulated_cdf(state, phi_lo)
+        monkeypatch.setattr(np, "interp", recording)
+        got = homodyne._draw(xs, cdf, n, np.random.Generator(np.random.Philox(k)))
+        monkeypatch.setattr(np, "interp", interp)
+        want = interp(np.random.Generator(np.random.Philox(k)).random(n), cdf, xs)
+        assert np.array_equal(_bits(got), _bits(want))
+    # below the threshold np.interp draws; from it on the slope table does
+    assert calls == ([n] * len(states) if offset < 0 else [])
+
+
+def test_draw_table_path_equals_np_interp_on_edge_uniforms():
+    # the edge uniforms of the test above, tiled past the np.interp threshold,
+    # plus knots one and more past the guide bracket of their bin
+    xs, cdf = homodyne.tabulated_cdf(VACUUM, 0.0)
+    cdf = cdf.copy()
+    cdf[:40] = 0.0
+    cdf[40] = 5e-324
+    cdf[30000:30020] = cdf[30000]
+    top = np.unique(cdf[cdf < 1.0])[-200:]
+    knots = cdf[np.random.default_rng(5).integers(0, cdf.size - 1, 3000)]
+    edge = np.concatenate([
+        [0.0, np.nextafter(0.0, 1.0), 2.0**-53, 0.5, np.nextafter(1.0, 0.0), cdf[30000]],
+        knots,
+        np.nextafter(knots, 1.0),
+        np.nextafter(knots[knots > 0.0], 0.0),
+        top,
+        np.nextafter(top, 1.0),
+    ])
+    u = np.tile(edge[edge < 1.0], 3)
+    n = u.size
+    assert n > homodyne._INTERP_MAX_DRAWS
+    bins = min(homodyne._GUIDE_BINS, 1 << (n.bit_length() - 1))
+    guide = np.searchsorted(cdf, np.arange(bins + 1) / bins, "right") - 1
+    past = np.searchsorted(cdf, u, "right") - 1 - guide[(u * bins).astype(np.intp)]
+    # the guide bracket, the one-step correction and the searchsorted fallback
+    assert np.count_nonzero(past == 0) and np.count_nonzero(past == 1) and np.count_nonzero(past > 1)
+    got = homodyne._draw(xs, cdf, n, _FixedUniforms(u))
+    assert np.array_equal(_bits(got), _bits(np.interp(u, cdf, xs)))
+
+
 def test_vacuum_sampling_recovers_quarter_variance():
     run = HomodyneRun(state=VACUUM, phi_lo=0.0, eta_total=1.0, n_samples=200_000, seed=777)
     est = homodyne.estimate_variance(homodyne.sample_quadratures(run))
@@ -350,3 +403,80 @@ def test_phase_scan_validation():
         homodyne.phase_scan(ONE_THIRD, 1.0, 400, 5, 3)
     with pytest.raises(InvalidParameter):
         homodyne.phase_scan(ONE_THIRD, 1.5, 400, 5, 8)
+
+
+def _phase_scan_oracle(state, eta_total, n_samples, seed, n_phases):
+    """Rows of phase_scan, one phase at a time through the public kernels."""
+    lossy = homodyne.detected_state(state, eta_total)
+    streams = np.random.SeedSequence(seed).spawn(n_phases)
+    rows = []
+    for k, phi in enumerate(np.linspace(0.0, 2.0 * math.pi, n_phases, endpoint=False)):
+        xs, cdf = homodyne.tabulated_cdf(lossy, phi)
+        u = np.random.Generator(np.random.Philox(streams[k])).random(n_samples)
+        est = homodyne.estimate_variance(np.interp(u, cdf, xs))
+        v_exact = fock.quadrature_stats(lossy, phi).variance
+        rows.append((
+            phi,
+            est.var_hat,
+            fock.variance_to_db(est.var_hat),
+            est.std_error_of_var,
+            v_exact,
+            fock.variance_to_db(v_exact),
+        ))
+    return np.array(rows)
+
+
+def test_phase_scan_equals_the_per_phase_oracle():
+    got = homodyne.phase_scan(ONE_THIRD, 0.9, 400, 11, 8)
+    assert np.array_equal(_bits(got), _bits(_phase_scan_oracle(ONE_THIRD, 0.9, 400, 11, 8)))
+    # n_max = 20: the anti-squeezed phases need a support wider than [-6, 6],
+    # the others keep it, and the draws go through the slope table
+    vec, _ = superposition.squeezed_vacuum(0.75, 20)
+    rho = fock.to_density(vec)
+    lossy = homodyne.detected_state(rho, 0.9)
+    phases = np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False)
+    halves = {float(homodyne.tabulated_cdf(lossy, phi)[0][-1]) for phi in phases}
+    assert homodyne.MIN_HALF_WIDTH in halves and len(halves) > 1
+    n = homodyne._INTERP_MAX_DRAWS + 1
+    got = homodyne.phase_scan(rho, 0.9, n, 12, 8)
+    assert np.array_equal(_bits(got), _bits(_phase_scan_oracle(rho, 0.9, n, 12, 8)))
+
+
+def test_phase_scan_computes_the_moments_once_per_phase(monkeypatch):
+    calls = []
+    real = fock.quadrature_stats
+
+    def counting(state, phi_lo):
+        calls.append(phi_lo)
+        return real(state, phi_lo)
+
+    monkeypatch.setattr(fock, "quadrature_stats", counting)
+    homodyne.phase_scan(ONE_THIRD, 0.9, 400, 11, 8)
+    assert len(calls) == 8
+
+
+def _hermite_calls(monkeypatch, state, n_phases):
+    """Block sizes seen by hermite_functions during one 400-draw phase_scan."""
+    sizes = []
+    real = homodyne.hermite_functions
+
+    def recording(n_max, x):
+        sizes.append(np.size(x))
+        return real(n_max, x)
+
+    monkeypatch.setattr(homodyne, "hermite_functions", recording)
+    homodyne.phase_scan(state, 1.0, 400, 3, n_phases)
+    monkeypatch.setattr(homodyne, "hermite_functions", real)
+    return sizes
+
+
+def test_phase_scan_builds_the_basis_once_per_support(monkeypatch):
+    blocks = homodyne.CDF_POINTS // homodyne._MARGINAL_BLOCK
+    assert blocks == 16
+    # every n_max = 1 state has the support [-6, 6]: one basis for all phases
+    assert _hermite_calls(monkeypatch, ONE_THIRD, 8) == [homodyne._MARGINAL_BLOCK] * blocks
+    # above the basis bound every phase evaluates its blocks one at a time
+    vec, _ = superposition.squeezed_vacuum(0.75, 52)
+    assert 53 * homodyne.CDF_POINTS > homodyne._BASIS_MAX_DOUBLES
+    sizes = _hermite_calls(monkeypatch, fock.to_density(vec), 4)
+    assert sizes == [homodyne._MARGINAL_BLOCK] * (blocks * 4)

@@ -48,6 +48,15 @@ def test_emitter_rejects_nan_derived_rates():
         EmitterParams(lifetime_tau=1.0, gamma_rate=1.0, linewidth_hz=math.nan)
 
 
+def test_emitter_rejects_a_lifetime_whose_rate_overflows():
+    # 1e-309 s is subnormal and 1 / 1e-309 is inf: the error names the lifetime
+    with pytest.raises(InvalidParameter, match="lifetime 1e-309") as err:
+        EmitterParams.from_lifetime(1e-309)
+    assert "gamma_rate" not in str(err.value)
+    # 1e-308 s is subnormal too, but its rate is finite and consistent
+    assert EmitterParams.from_lifetime(1e-308).gamma_rate == 1e308
+
+
 # -------------------------------------------------------------- temporal modes
 
 def test_emitted_mode_envelope():
