@@ -14,10 +14,10 @@ oscillator eigenfunctions in these units (vacuum variance 1/4)
 It is evaluated as one real matrix product per block of 4,096 points.
 `tabulated_cdf` computes each psi block as it needs it, so it never holds
 an (n_max+1) x len(x) array of psi.  `phase_scan` computes the moments of
-each phase once, for both the support and the exact variance, and phases
-with equal supports (every n_max = 1 state has [-6, 6]) share one grid;
-when the basis is small (at most 2^21 doubles, n_max <= 31) they share its
-psi blocks too.  The arithmetic per block is the same either way.
+each phase once, for both the support and the exact variance, and
+consecutive phases with equal supports (every n_max = 1 state has [-6, 6])
+share one grid and its list of psi blocks, (n_max+1) x 2^16 doubles.  The
+arithmetic per block is the same either way.
 
 Sampling inverts a trapezoid-tabulated CDF on a 2^16-point grid over
 [-w, w], w = max(6, |mean| + 6.5 sqrt(variance)) from the exact moments of
@@ -51,7 +51,6 @@ _MARGINAL_BLOCK = 4096  # x points per psi block in the marginal
 _DRAW_CHUNK = 2**16  # uniforms per chunk of the inverse CDF
 _GUIDE_BINS = 2**16  # most guide-table bins
 _INTERP_MAX_DRAWS = 8192  # fewer draws than this go straight to np.interp
-_BASIS_MAX_DOUBLES = 2**21  # phase_scan keeps a psi basis of at most 16 MiB
 
 
 def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -276,9 +275,8 @@ def phase_scan(
     # validates eta/n/seed once; per-phase draws reuse the lossy state
     HomodyneRun(state=state, phi_lo=0.0, eta_total=eta_total, n_samples=n_samples, seed=seed)
     streams = np.random.SeedSequence(seed).spawn(n_phases)
-    # phases with equal supports (every n_max = 1 state has [-6, 6]) share
-    # one grid and, when the basis fits in _BASIS_MAX_DOUBLES, its psi blocks
-    keep_basis = (lossy.n_max + 1) * CDF_POINTS <= _BASIS_MAX_DOUBLES
+    # consecutive phases with equal supports (every n_max = 1 state has
+    # [-6, 6]) share one grid and its psi blocks
     half = basis = None
     rows = np.empty((n_phases, 6))
     for k, phi in enumerate(np.linspace(0.0, 2.0 * math.pi, n_phases, endpoint=False)):
@@ -286,9 +284,8 @@ def phase_scan(
         w = _half_width(stats)
         if w != half:
             half, xs = w, np.linspace(-w, w, CDF_POINTS)
-            basis = list(_psi_blocks(lossy.n_max, xs)) if keep_basis else None
-        blocks = basis if keep_basis else _psi_blocks(lossy.n_max, xs)
-        cdf = _tabulate(lossy, phi, xs, blocks)
+            basis = list(_psi_blocks(lossy.n_max, xs))
+        cdf = _tabulate(lossy, phi, xs, basis)
         rng = np.random.Generator(np.random.Philox(streams[k]))
         est = estimate_variance(_draw(xs, cdf, n_samples, rng))
         rows[k] = (

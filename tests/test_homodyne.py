@@ -475,8 +475,8 @@ def test_phase_scan_builds_the_basis_once_per_support(monkeypatch):
     assert blocks == 16
     # every n_max = 1 state has the support [-6, 6]: one basis for all phases
     assert _hermite_calls(monkeypatch, ONE_THIRD, 8) == [homodyne._MARGINAL_BLOCK] * blocks
-    # above the basis bound every phase evaluates its blocks one at a time
-    vec, _ = superposition.squeezed_vacuum(0.75, 52)
-    assert 53 * homodyne.CDF_POINTS > homodyne._BASIS_MAX_DOUBLES
-    sizes = _hermite_calls(monkeypatch, fock.to_density(vec), 4)
-    assert sizes == [homodyne._MARGINAL_BLOCK] * (blocks * 4)
+    # n_max = 20 at 8 phases: supports 6, 6, 6.88, 6, 6, 6, 6.88, 6 change
+    # five times, so five bases rather than eight
+    vec, _ = superposition.squeezed_vacuum(0.75, 20)
+    sizes = _hermite_calls(monkeypatch, fock.to_density(vec), 8)
+    assert sizes == [homodyne._MARGINAL_BLOCK] * (blocks * 5)
