@@ -15,6 +15,17 @@ e^{-i phi n} rho e^{+i phi n} (see rotate_phase).
 
 Squeezing is always quoted against the vacuum floor:
 dB = 10 log10(V / 0.25), negative below the vacuum limit.
+
+Linear loss at transmission eta (a beamsplitter that keeps each photon with
+probability eta) is applied in band form: photon loss only moves weight
+down the diagonals of rho,
+
+    rho'_{mn} = sum_k s_k[m] s_k[n] rho_{m+k, n+k},
+    s_k[m] = sqrt(C(m+k, k) eta^m (1-eta)^k)
+
+(Leonhardt, Measuring the Quantum State of Light, 1997).  This is the Kraus
+sum over k lost photons term for term; loss_kraus_operators keeps that form
+as the test oracle.
 """
 
 import math
@@ -163,35 +174,48 @@ def variance_to_db(variance: float) -> float:
     return 10.0 * math.log10(variance / VACUUM_VARIANCE)
 
 
-def loss_kraus_operators(n_max: int, eta: float) -> list[np.ndarray]:
-    """Kraus operators of the transmission-eta beamsplitter loss channel.
+def _loss_weights(n_max: int, eta: float) -> list[np.ndarray]:
+    """s_k[m] = sqrt(C(m+k, k) eta^m (1-eta)^k), m = 0 .. n_max-k, for k = 0 .. n_max.
 
-    K_k = sum_{n >= k} sqrt(C(n, k) eta^{n-k} (1-eta)^k) |n-k><n|,
-    k = 0 .. n_max photons lost.
+    s_k[m] is the amplitude of losing k photons from |m+k>, left in |m>:
+    the entry <m|K_k|m+k> of the Kraus operators and the band weights of
+    apply_loss alike.
     """
     if not (0.0 <= eta <= 1.0):
         raise InvalidParameter(f"loss transmission eta must be in [0, 1], got {eta!r}")
     dim = n_max + 1
-    ops = []
-    for k in range(dim):
-        kmat = np.zeros((dim, dim), dtype=complex)
-        for n in range(k, dim):
-            # 0.0**0 == 1.0 handles the eta = 0 and eta = 1 endpoints exactly
-            weight = math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k
-            kmat[n - k, n] = np.sqrt(weight)
-        ops.append(kmat)
-    return ops
+    # 0.0**0 == 1.0 handles the eta = 0 and eta = 1 endpoints exactly
+    return [
+        np.sqrt([math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k for n in range(k, dim)])
+        for k in range(dim)
+    ]
+
+
+def loss_kraus_operators(n_max: int, eta: float) -> list[np.ndarray]:
+    """Kraus operators of the transmission-eta beamsplitter loss channel.
+
+    K_k = sum_{n >= k} sqrt(C(n, k) eta^{n-k} (1-eta)^k) |n-k><n|,
+    k = 0 .. n_max photons lost.  apply_loss does not build them: the tests
+    keep sum_k K_k rho K_k^dag as the oracle for its band sum.
+    """
+    return [np.diag(s, k).astype(complex) for k, s in enumerate(_loss_weights(n_max, eta))]
 
 
 def apply_loss(state: FockDensity, eta: float) -> FockDensity:
-    """Pure linear loss: rho -> sum_k K_k rho K_k^dag at transmission eta.
+    """Pure linear loss at transmission eta, as the band sum
 
-    Exactly trace preserving on the truncated space; variance obeys
-    V' = eta V + (1 - eta)/4 for every state and LO phase.
+        rho'_{mn} = sum_k s_k[m] s_k[n] rho_{m+k, n+k},
+        s_k[m] = sqrt(C(m+k, k) eta^m (1-eta)^k)
+
+    (Leonhardt, Measuring the Quantum State of Light, 1997).  It is the
+    Kraus sum sum_k K_k rho K_k^dag term for term, added in the same order,
+    so the result is bit-identical to it without the n_max+1 dense
+    operators.  Exactly trace preserving on the truncated space; variance
+    obeys V' = eta V + (1 - eta)/4 for every state and LO phase.
     """
-    ops = loss_kraus_operators(state.n_max, eta)
-    out = np.zeros_like(state.matrix)
-    for k in ops:
-        out = out + k @ state.matrix @ k.conj().T
+    rho = state.matrix
+    out = np.zeros_like(rho)
+    for k, s in enumerate(_loss_weights(state.n_max, eta)):
+        out[: s.size, : s.size] += s[:, None] * rho[k:, k:] * s[None, :]
     out = (out + out.conj().T) / 2.0  # scrub float asymmetry, channel is Hermiticity preserving
     return FockDensity(out)

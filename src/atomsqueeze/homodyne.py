@@ -57,17 +57,25 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     """Oscillator eigenfunctions psi_0 .. psi_n_max on x, shape (n_max+1, len(x)).
 
     Upward recurrence on the normalized functions; stable for every
-    truncation used in this package.
+    truncation used in this package.  Each row is written in place from
+    one work row, with the operations of
+    (2x / sqrt(n)) psi_{n-1} - sqrt((n-1)/n) psi_{n-2} in that order, so
+    the values are those of the plain expression, bit for bit.
     """
-    if n_max < 0:
-        raise InvalidParameter("n_max must be >= 0")
+    if not isinstance(n_max, (int, np.integer)) or n_max < 0:
+        raise InvalidParameter(f"n_max must be an integer >= 0, got {n_max!r}")
     x = np.asarray(x, dtype=float)
     out = np.empty((n_max + 1, x.size))
     out[0] = (2.0 / math.pi) ** 0.25 * np.exp(-(x**2))
     if n_max >= 1:
-        out[1] = 2.0 * x * out[0]
-    for n in range(2, n_max + 1):
-        out[n] = (2.0 * x / math.sqrt(n)) * out[n - 1] - math.sqrt((n - 1.0) / n) * out[n - 2]
+        two_x = 2.0 * x
+        np.multiply(two_x, out[0], out=out[1])
+        t = np.empty(x.size)
+        for n in range(2, n_max + 1):
+            np.divide(two_x, math.sqrt(n), out=t)
+            t *= out[n - 1]
+            np.multiply(out[n - 2], math.sqrt((n - 1.0) / n), out=out[n])
+            np.subtract(t, out[n], out=out[n])
     return out
 
 
@@ -251,6 +259,10 @@ def ks_statistic(samples: np.ndarray, xs: np.ndarray, cdf: np.ndarray) -> float:
     n = x.size
     if n == 0:
         raise InvalidParameter("KS statistic needs at least one sample")
+    # a NaN sample would sort last and turn the distance into NaN, which
+    # passes every "ks >= critical" check
+    if not np.all(np.isfinite(x)):
+        raise InvalidParameter("KS statistic needs finite samples")
     f = np.interp(x, xs, cdf)
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))

@@ -1,6 +1,7 @@
 """Core layer: state constructors, quadrature statistics, loss channel."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,42 @@ def test_loss_kraus_operators_complete():
             assert np.max(np.abs(total - np.eye(n_max + 1))) < 1e-12
 
 
+def _kraus_sum(rho, eta):
+    """The Kraus form of the loss channel, with apply_loss's Hermitian scrub."""
+    out = np.zeros_like(rho)
+    for k in fock.loss_kraus_operators(rho.shape[0] - 1, eta):
+        out = out + k @ rho @ k.conj().T
+    return (out + out.conj().T) / 2.0
+
+
+@pytest.mark.parametrize("n_max", [1, 2, 20, 52, 100])
+def test_apply_loss_equals_kraus_sum_bit_for_bit(n_max):
+    rng = np.random.default_rng(SEED + 30 + n_max)
+    for eta in (0.0, 1e-300, 0.3, 0.7, 1.0):
+        rho, _, _ = random_mixture(rng, n_max)
+        out = fock.apply_loss(rho, eta).matrix
+        ref = _kraus_sum(rho.matrix, eta)
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64)), eta
+
+
+def test_apply_loss_builds_no_kraus_operators(monkeypatch):
+    rho, _, _ = random_mixture(np.random.default_rng(SEED + 40), 100)
+
+    def refuse(n_max, eta):
+        raise AssertionError("apply_loss built the Kraus operators")
+
+    monkeypatch.setattr(fock, "loss_kraus_operators", refuse)
+    tracemalloc.start()
+    try:
+        out = fock.apply_loss(rho, 0.7)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # the 101 dense complex Kraus operators alone would take ~16 MiB
+    assert peak < 4 * 2**20
+    assert abs(np.trace(out.matrix).real - 1.0) < 1e-12
+
+
 def test_apply_loss_eta_one_is_identity():
     rng = np.random.default_rng(SEED + 5)
     rho, _, _ = random_mixture(rng, 5)
@@ -241,6 +278,8 @@ def test_apply_loss_rejects_bad_efficiency():
         fock.apply_loss(rho, -0.1)
     with pytest.raises(InvalidParameter):
         fock.apply_loss(rho, 1.1)
+    with pytest.raises(InvalidParameter):
+        fock.apply_loss(rho, math.nan)
 
 
 def test_loss_two_level_closed_form():

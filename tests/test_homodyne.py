@@ -50,6 +50,29 @@ def test_hermite_functions_reference_values():
     assert psi[1, 0] == 0.0
     with pytest.raises(InvalidParameter):
         homodyne.hermite_functions(-1, np.array([0.0]))
+    with pytest.raises(InvalidParameter):
+        homodyne.hermite_functions(2.0, np.array([0.0]))
+
+
+def _hermite_oracle(n_max, x):
+    """The recurrence as one plain expression per row."""
+    out = np.empty((n_max + 1, x.size))
+    out[0] = (2.0 / math.pi) ** 0.25 * np.exp(-(x**2))
+    if n_max >= 1:
+        out[1] = 2.0 * x * out[0]
+    for n in range(2, n_max + 1):
+        out[n] = (2.0 * x / math.sqrt(n)) * out[n - 1] - math.sqrt((n - 1.0) / n) * out[n - 2]
+    return out
+
+
+@pytest.mark.parametrize("half", [6.0, 6.88, 8.8])
+def test_hermite_functions_equal_the_plain_recurrence_bit_for_bit(half):
+    xs = np.linspace(-half, half, homodyne.CDF_POINTS)
+    for n_max in (0, 1, 2, 3, 20, 52, 100):
+        for start in range(0, xs.size, 4096):
+            x = xs[start : start + 4096]
+            got = homodyne.hermite_functions(n_max, x)
+            assert np.array_equal(_bits(got), _bits(_hermite_oracle(n_max, x))), (n_max, start)
 
 
 def test_hermite_functions_match_scipy_polynomials():
@@ -363,6 +386,9 @@ def test_ks_statistic_flags_wrong_distribution():
     assert homodyne.ks_statistic(samples, xs, cdf) > 0.1
     with pytest.raises(InvalidParameter):
         homodyne.ks_statistic(np.array([]), xs, cdf)
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameter):
+            homodyne.ks_statistic(np.array([0.1, bad, 0.2]), xs, cdf)
 
 
 # ----------------------------------------------------------------- phase scan
