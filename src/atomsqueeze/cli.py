@@ -144,8 +144,12 @@ class CommandOutput:
 
 def parse_config_file(path: str) -> dict[str, str]:
     """Read `key = value` lines; # starts a comment; duplicate keys are errors."""
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
+    with open(path, "rb") as fh:
+        data = fh.read()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise InvalidParameter(f"config file {path!r} is not UTF-8: bad byte at offset {exc.start}") from None
     out: dict[str, str] = {}
     for ln, raw in enumerate(text.splitlines(), 1):
         line = raw.split("#", 1)[0].strip()

@@ -13,19 +13,20 @@ which gives X_0 = X1 and X_{pi/2} = X2.  Measuring X_phi on rho is the
 same as measuring X1 on the number-rotated state
 e^{-i phi n} rho e^{+i phi n} (see rotate_phase).
 
-Squeezing is always quoted against the vacuum floor:
-dB = 10 log10(V / 0.25), negative below the vacuum limit.
+Its mean and variance come from three diagonals of rho, in O(n):
+
+    <a> = sum_n sqrt(n) rho_{n,n-1},  <a^2> = sum_n sqrt(n(n-1)) rho_{n,n-2},
+    mean = Re(e^{-i phi} <a>),  V = [1 + 2 <a^dag a> + 2 Re(e^{-2i phi} <a^2>)] / 4 - mean^2
+
+with <a^dag a> = sum_n n rho_{nn}.  No padded level is needed, since
+a a^dag = a^dag a + 1 holds exactly in this form; quadrature_operator keeps
+the trace Tr(rho X_phi^k) as the test oracle.  Squeezing is always quoted
+against the vacuum floor: dB = 10 log10(V / 0.25), negative below it.
 
 Linear loss at transmission eta (a beamsplitter that keeps each photon with
-probability eta) is applied in band form: photon loss only moves weight
-down the diagonals of rho,
-
-    rho'_{mn} = sum_k s_k[m] s_k[n] rho_{m+k, n+k},
-    s_k[m] = sqrt(C(m+k, k) eta^m (1-eta)^k)
-
-(Leonhardt, Measuring the Quantum State of Light, 1997).  This is the Kraus
-sum over k lost photons term for term; loss_kraus_operators keeps that form
-as the test oracle.
+probability eta) is applied in band form, moving weight only down the
+diagonals of rho (see apply_loss; Leonhardt, Measuring the Quantum State of
+Light, 1997); loss_kraus_operators keeps the Kraus sum as the test oracle.
 """
 
 import math
@@ -103,11 +104,7 @@ class QuadratureStats:
 
 
 def make_fock_vector(amplitudes) -> FockVector:
-    """Normalize raw amplitudes into a FockVector.
-
-    A length-1 input (bare vacuum) is padded with an empty one-photon slot:
-    quadrature moments need at least one level above the occupied ones.
-    """
+    """Normalize raw amplitudes into a FockVector; a bare vacuum [c0] gets an empty |1> slot."""
     amps = np.asarray(amplitudes, dtype=complex)
     if amps.ndim != 1 or amps.size == 0:
         raise InvalidState("amplitudes must be a non-empty 1-D array")
@@ -128,7 +125,7 @@ def to_density(state: FockVector) -> FockDensity:
 
 
 def annihilation_matrix(n_max: int) -> np.ndarray:
-    """Matrix of a on the truncated space: a[m, n] = sqrt(n) delta_{m, n-1}."""
+    """Matrix of a on the truncated space, a[m, n] = sqrt(n) delta_{m, n-1}; the test oracle."""
     if n_max < 1:
         raise InvalidParameter("annihilation_matrix needs n_max >= 1")
     n = np.arange(1, n_max + 1)
@@ -136,7 +133,7 @@ def annihilation_matrix(n_max: int) -> np.ndarray:
 
 
 def quadrature_operator(n_max: int, phi_lo: float) -> np.ndarray:
-    """X_phi = (a e^{-i phi} + a^dag e^{i phi}) / 2 on the truncated space."""
+    """X_phi = (a e^{-i phi} + a^dag e^{i phi}) / 2; the test oracle of quadrature_stats."""
     a = annihilation_matrix(n_max)
     return (a * np.exp(-1j * phi_lo) + a.conj().T * np.exp(1j * phi_lo)) / 2.0
 
@@ -152,18 +149,20 @@ def rotate_phase(state: FockDensity, phi: float) -> FockDensity:
 
 
 def quadrature_stats(state: FockDensity, phi_lo: float) -> QuadratureStats:
-    """Exact mean and variance of X_phi on a truncated density matrix.
+    """Exact mean and variance of X_phi on a truncated density matrix, in O(n_max):
 
-    Moments are evaluated in a space one level larger than the state so the
-    ladder term a^dag |n_max> is not clipped; results are exact for any
-    state supported on n <= n_max.
+        <a> = sum_n sqrt(n) rho_{n,n-1},  <a^2> = sum_n sqrt(n(n-1)) rho_{n,n-2},
+        mean = Re(e^{-i phi} <a>),  V = [1 + 2 sum_n n rho_{nn} + 2 Re(e^{-2i phi} <a^2>)] / 4 - mean^2
     """
-    dim = state.matrix.shape[0]
-    rho = np.zeros((dim + 1, dim + 1), dtype=complex)
-    rho[:dim, :dim] = state.matrix
-    x = quadrature_operator(dim, phi_lo)
-    mean = float(np.trace(rho @ x).real)
-    second = float(np.trace(rho @ x @ x).real)
+    if not math.isfinite(phi_lo):
+        raise InvalidState(f"LO phase must be finite, got {phi_lo!r}")
+    rho = state.matrix
+    n = np.arange(1.0, rho.shape[0])
+    a1 = np.dot(np.sqrt(n), np.diagonal(rho, -1))
+    a2 = np.dot(np.sqrt(n[1:] * n[:-1]), np.diagonal(rho, -2))
+    e = np.exp(-1j * phi_lo)
+    mean = float((e * a1).real)
+    second = float(0.25 * (1.0 + 2.0 * np.dot(n, np.diagonal(rho)[1:].real) + 2.0 * (e * e * a2).real))
     return QuadratureStats(phi_lo=phi_lo, mean=mean, variance=second - mean * mean)
 
 

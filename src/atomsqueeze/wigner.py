@@ -115,6 +115,8 @@ def wigner_marginal(grid: WignerGrid, phi_lo: float) -> tuple[np.ndarray, np.nda
     the density integrates to 1 up to the clipped corner mass, and the
     phi_lo = 0 and pi/2 cases reduce to plain row/column sums.
     """
+    if not math.isfinite(phi_lo):
+        raise InvalidParameter(f"LO phase must be finite, got {phi_lo!r}")
     x = grid.x1
     y = grid.x2
     c, s = math.cos(phi_lo), math.sin(phi_lo)

@@ -9,6 +9,9 @@ Regenerate `cli.json` beside this file (only when a change is meant to move
 output bits, and then list each changed case in CHANGES.md):
 
     PYTHONPATH=src python tests/golden/make_goldens.py
+
+Before it writes, it prints each case whose hash differs from the stored
+one, with the largest relative difference over the stored numbers.
 """
 
 import hashlib
@@ -158,12 +161,34 @@ def golden_entry(case: dict, code: int, raw: bytes) -> dict:
     }
 
 
+def largest_relative_difference(got: list, want: list) -> float:
+    """max |a - b| / max(|a|, |b|) over paired numbers (floats or repr strings); 0 if all equal."""
+    pairs = zip(map(float, got), map(float, want))
+    return max((abs(a - b) / max(abs(a), abs(b)) for a, b in pairs if a != b), default=0.0)
+
+
+def report_changes(entries: dict) -> None:
+    """Print each case whose sha256 differs from the stored golden, with its largest difference."""
+    stored = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["cases"] if GOLDEN_PATH.exists() else {}
+    for name, entry in entries.items():
+        old = stored.get(name)
+        if old is None:
+            print(f"new case {name}")
+        elif old["sha256"] != entry["sha256"]:
+            if old["count"] != entry["count"]:
+                print(f"changed {name}: {old['count']} -> {entry['count']} numbers")
+            else:
+                diff = largest_relative_difference(entry["numbers"], old["numbers"])
+                print(f"changed {name}: largest relative difference {diff:.3g} over the stored numbers")
+
+
 def main() -> int:
     entries = {}
     with tempfile.TemporaryDirectory() as tmp:
         for name, case in cases().items():
             code, raw = run_case(case, Path(tmp))
             entries[name] = golden_entry(case, code, raw)
+    report_changes(entries)
     doc = {"numpy": np.__version__, "cases": entries}
     GOLDEN_PATH.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(entries)} cases to {GOLDEN_PATH}")

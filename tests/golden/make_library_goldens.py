@@ -12,6 +12,10 @@ Regenerate `library.json` beside this file (only when a change is meant to
 move output bits, and then list each changed entry in CHANGES.md):
 
     PYTHONPATH=src python tests/golden/make_library_goldens.py
+
+Before it writes, it prints each entry whose hash differs from the stored
+one, with the largest relative difference over the stored numbers (draws
+are stored as hashes only).
 """
 
 import hashlib
@@ -93,8 +97,32 @@ def compute(name: str, spec: dict) -> dict:
     return out
 
 
+def largest_relative_difference(got: list, want: list) -> float:
+    """max |a - b| / max(|a|, |b|) over paired numbers (floats or repr strings); 0 if all equal."""
+    pairs = zip(map(float, got), map(float, want))
+    return max((abs(a - b) / max(abs(a), abs(b)) for a, b in pairs if a != b), default=0.0)
+
+
+def report_changes(entries: dict) -> None:
+    """Print each entry whose sha256 differs from the stored golden, with its largest difference."""
+    stored = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))["states"] if GOLDEN_PATH.exists() else {}
+    for name, entry in entries.items():
+        old = stored.get(name, {})
+        for key, value in entry.items():
+            if key == "draws":
+                for draw, digest in value.items():
+                    if old.get(key, {}).get(draw) != digest:
+                        print(f"changed {name}.draws.{draw}: sample bits moved (stored as a hash only)")
+            elif key not in old:
+                print(f"new entry {name}.{key}")
+            elif old[key]["sha256"] != value["sha256"]:
+                diff = largest_relative_difference(value["numbers"], old[key]["numbers"])
+                print(f"changed {name}.{key}: largest relative difference {diff:.3g} over the stored numbers")
+
+
 def main() -> int:
     entries = {name: compute(name, spec) for name, spec in states().items()}
+    report_changes(entries)
     doc = {"numpy": np.__version__, "states": entries}
     GOLDEN_PATH.write_text(json.dumps(doc, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {len(entries)} states to {GOLDEN_PATH}")

@@ -410,6 +410,17 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     assert "gamma" in capsys.readouterr().err
 
 
+def test_non_utf8_config_exits_2_naming_the_file_and_offset(tmp_path, capsys):
+    cfg = tmp_path / "latin.cfg"
+    cfg.write_bytes(b"beta = 0.5\xff\n")
+    assert cli.main(["variance", "--config", str(cfg)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: parameter: config file")
+    assert str(cfg) in captured.err
+    assert "offset 10" in captured.err
+
+
 def test_out_of_range_parameter_exits_2(capsys):
     assert cli.main(["variance", "--beta", "1.5"]) == 2
     assert capsys.readouterr().err.startswith("error: parameter:")

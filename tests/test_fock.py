@@ -191,6 +191,56 @@ def test_rotate_phase_preserves_populations():
     assert np.allclose(np.diag(out.matrix), np.diag(rho.matrix), atol=1e-14)
 
 
+def _dense_trace_stats(rho: np.ndarray, phi: float) -> tuple[float, float]:
+    """(mean, variance) as Tr(rho X) and Tr(rho X^2) - mean^2, rho padded by one level."""
+    dim = rho.shape[0]
+    padded = np.zeros((dim + 1, dim + 1), dtype=complex)
+    padded[:dim, :dim] = rho
+    x = fock.quadrature_operator(dim, phi)
+    mean = np.trace(padded @ x).real
+    return mean, np.trace(padded @ x @ x).real - mean * mean
+
+
+def test_stats_match_padded_dense_trace_oracle():
+    rng = np.random.default_rng(SEED + 5)
+    for n_max in (1, 2, 20, 52, 100):
+        rho, _, _ = random_mixture(rng, n_max)
+        for phi in rng.uniform(0.0, 2.0 * math.pi, 8):
+            mean, var = _dense_trace_stats(rho.matrix, float(phi))
+            got = fock.quadrature_stats(rho, float(phi))
+            assert abs(got.mean - mean) <= 1e-13 * max(1.0, abs(mean)), (n_max, phi)
+            assert abs(got.variance - var) <= 1e-13 * max(1.0, var), (n_max, phi)
+
+
+def test_stats_build_no_dense_operator(monkeypatch):
+    rho, _, _ = random_mixture(np.random.default_rng(SEED + 6), 52)
+    mean, var = _dense_trace_stats(rho.matrix, 0.9)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("quadrature_stats built a dense operator")
+
+    monkeypatch.setattr(fock, "annihilation_matrix", forbidden)
+    monkeypatch.setattr(fock, "quadrature_operator", forbidden)
+    got = fock.quadrature_stats(rho, 0.9)
+    assert abs(got.mean - mean) <= 1e-13 * max(1.0, abs(mean))
+    assert abs(got.variance - var) <= 1e-13 * max(1.0, var)
+
+
+def test_stats_fields_are_python_floats():
+    # CSV cells use repr, and an np.float64 reprs differently under numpy 2
+    rho, _, _ = random_mixture(np.random.default_rng(SEED + 7), 4)
+    st = fock.quadrature_stats(rho, 0.4)
+    assert type(st.mean) is float
+    assert type(st.variance) is float
+
+
+def test_stats_reject_non_finite_phase():
+    rho = fock.to_density(fock.make_fock_vector(ONE_THIRD_STATE))
+    for phi in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidState):
+            fock.quadrature_stats(rho, phi)
+
+
 # ------------------------------------------------------------------- decibels
 
 def test_variance_to_db_reference_points():

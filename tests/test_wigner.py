@@ -239,6 +239,13 @@ def test_single_photon_marginal_vanishes_at_origin():
     assert abs(float(x[100])) == 0.0
 
 
+def test_marginal_rejects_non_finite_phase():
+    grid = wigner.wigner_of_state(_one_third_density(), resolution=wigner.MIN_RESOLUTION)
+    for phi_lo in (math.nan, math.inf, -math.inf):
+        with pytest.raises(InvalidParameter, match="LO phase must be finite"):
+            wigner.wigner_marginal(grid, phi_lo)
+
+
 # ------------------------------------------------------------------ loss sweep
 
 def test_origin_negativity_crosses_zero_at_half_transmission():
