@@ -7,137 +7,17 @@ Carlo (homodyne), temporal modes and the detection budget (modes), and a
 command line front end (cli).
 """
 
-from .errors import (
-    AtomSqueezeError,
-    DegenerateData,
-    InvalidParameter,
-    InvalidState,
-    NotSupported,
-)
-from .fock import (
-    FockDensity,
-    FockVector,
-    QuadratureStats,
-    annihilation_matrix,
-    apply_loss,
-    make_fock_vector,
-    quadrature_operator,
-    quadrature_stats,
-    rotate_phase,
-    to_density,
-    variance_to_db,
-)
-from .homodyne import (
-    GENERATOR_ID,
-    HomodyneRun,
-    VarianceEstimate,
-    estimate_variance,
-    marginal_density,
-    phase_scan,
-    sample_quadratures,
-)
-from .jaynes_cummings import (
-    AtomPrep,
-    DipoleCheck,
-    JCParams,
-    JointAtomFieldState,
-    closed_form_variances,
-    dipole_squeezing_check,
-    evolve_resonant,
-    field_variances,
-    min_field_variance,
-    numeric_evolve,
-    reduced_field_density,
-    transient_sweep,
-)
-from .modes import (
-    EMITTER_PRESETS,
-    EfficiencyBudget,
-    EmitterParams,
-    TemporalMode,
-    detected_squeezing,
-    emitted_mode,
-    linewidth_check,
-    lo_linewidth_requirement,
-    lo_mode,
-    matched_overlap,
-    mode_overlap,
-    window_tradeoff,
-)
-from .superposition import (
-    SuperpositionSpec,
-    make_superposition,
-    min_variance,
-    optimal_beta,
-    quadrature_variances,
-    superposition_variance,
-    squeezed_vacuum,
-    squeezing_region,
-    variance_at_lo_phase,
-)
-from .wigner import WignerGrid, wigner_marginal, wigner_of_state
+from .errors import *
+from .fock import *
+from .homodyne import *
+from .jaynes_cummings import *
+from .modes import *
+from .superposition import *
+from .wigner import *
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomSqueezeError",
-    "DegenerateData",
-    "InvalidParameter",
-    "InvalidState",
-    "NotSupported",
-    "FockDensity",
-    "FockVector",
-    "QuadratureStats",
-    "annihilation_matrix",
-    "apply_loss",
-    "make_fock_vector",
-    "quadrature_operator",
-    "quadrature_stats",
-    "rotate_phase",
-    "to_density",
-    "variance_to_db",
-    "GENERATOR_ID",
-    "HomodyneRun",
-    "VarianceEstimate",
-    "estimate_variance",
-    "marginal_density",
-    "phase_scan",
-    "sample_quadratures",
-    "AtomPrep",
-    "DipoleCheck",
-    "JCParams",
-    "JointAtomFieldState",
-    "closed_form_variances",
-    "dipole_squeezing_check",
-    "evolve_resonant",
-    "field_variances",
-    "min_field_variance",
-    "numeric_evolve",
-    "reduced_field_density",
-    "transient_sweep",
-    "EMITTER_PRESETS",
-    "EfficiencyBudget",
-    "EmitterParams",
-    "TemporalMode",
-    "detected_squeezing",
-    "emitted_mode",
-    "linewidth_check",
-    "lo_linewidth_requirement",
-    "lo_mode",
-    "matched_overlap",
-    "mode_overlap",
-    "window_tradeoff",
-    "SuperpositionSpec",
-    "make_superposition",
-    "min_variance",
-    "optimal_beta",
-    "quadrature_variances",
-    "superposition_variance",
-    "squeezed_vacuum",
-    "squeezing_region",
-    "variance_at_lo_phase",
-    "WignerGrid",
-    "wigner_marginal",
-    "wigner_of_state",
-    "__version__",
+    *errors.__all__, *fock.__all__, *homodyne.__all__, *jaynes_cummings.__all__,
+    *modes.__all__, *superposition.__all__, *wigner.__all__, "__version__",
 ]

@@ -12,6 +12,7 @@ failure, 4 I/O failure.
 """
 
 import argparse
+import contextlib
 import json
 import math
 import sys
@@ -60,6 +61,7 @@ class Param:
 
 _BETA = Param("beta", float, help="one-photon amplitude |beta| of the source state")
 _PHI = Param("phi", float, 0.0, help="relative phase of the one-photon amplitude")
+_ETA = Param("eta", float, 1.0, help="total detection efficiency")
 _SEED = Param("seed", int, help="RNG seed (required for stochastic commands)")
 _BUDGET_SOURCE = (
     Param("collection", float, help="collection efficiency into the LO spatial mode"),
@@ -71,10 +73,7 @@ _BUDGET_SOURCE = (
 )
 
 SCHEMAS: dict[str, list[Param]] = {
-    "variance": [
-        Param("beta", float, help="one-photon amplitude |beta|"),
-        _PHI,
-    ],
+    "variance": [_BETA, _PHI],
     "jc-sweep": [
         Param("theta", float, help="atom preparation polar angle"),
         Param("phi", float, 0.0, help="atom preparation azimuthal phase"),
@@ -93,14 +92,14 @@ SCHEMAS: dict[str, list[Param]] = {
         _BETA,
         _PHI,
         Param("lo-phase", float, 0.0, help="local oscillator phase"),
-        Param("eta", float, 1.0, help="total detection efficiency"),
+        _ETA,
         Param("samples", int, help="number of Monte Carlo samples", cap=MAX_SAMPLES),
         _SEED,
     ],
     "phase-scan": [
         _BETA,
         _PHI,
-        Param("eta", float, 1.0, help="total detection efficiency"),
+        _ETA,
         Param("samples", int, 2000, help="samples per phase", cap=MAX_SAMPLES),
         Param("n-phases", int, 16, help="number of LO phases on [0, 2*pi)", cap=MAX_PHASES),
         _SEED,
@@ -266,7 +265,7 @@ def _csv_text(meta: dict, columns: dict[str, np.ndarray]) -> str:
 
 
 def _scalar_table(result: dict) -> dict[str, np.ndarray]:
-    return {k: np.array([v]) for k, v in result.items() if isinstance(v, (int, float, bool, str))}
+    return {k: np.array([v]) for k, v in result.items()}
 
 
 def _source_spec(params: dict, phase_key: str = "phi") -> superposition.SuperpositionSpec:
@@ -387,7 +386,7 @@ def _run_budget(params: dict, explicit: set) -> CommandOutput:
         raise InvalidParameter(f"window-lifetimes must be > 0, got {window!r}")
     lo = modes.exponential_mode(
         params["lo-rate-factor"] * emitter.gamma_rate / 2.0,
-        window * emitter.lifetime_tau if math.isfinite(window) else math.inf,
+        window * emitter.lifetime_tau,
     )
     budget = modes.detected_squeezing(
         spec,
@@ -477,11 +476,11 @@ def run(args: argparse.Namespace) -> int:
         text = _json_text(meta, out.result)
     else:
         text = _csv_text(meta, out.columns if out.columns is not None else _scalar_table(out.result))
-    if args.out is None:
-        sys.stdout.write(text)
-    else:
-        with open(args.out, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
+    sink = contextlib.nullcontext(sys.stdout)
+    if args.out is not None:
+        sink = open(args.out, "w", encoding="utf-8", newline="")
+    with sink as fh:
+        fh.write(text)
     return EXIT_OK
 
 

@@ -1,5 +1,13 @@
 """Exception types shared by all atomsqueeze modules."""
 
+__all__ = [
+    "AtomSqueezeError",
+    "DegenerateData",
+    "InvalidParameter",
+    "InvalidState",
+    "NotSupported",
+]
+
 
 class AtomSqueezeError(Exception):
     """Base class for every error raised by this package."""

@@ -29,6 +29,20 @@ diagonals of rho (see apply_loss; Leonhardt, Measuring the Quantum State of
 Light, 1997); loss_kraus_operators keeps the Kraus sum as the test oracle.
 """
 
+__all__ = [
+    "FockDensity",
+    "FockVector",
+    "QuadratureStats",
+    "annihilation_matrix",
+    "apply_loss",
+    "make_fock_vector",
+    "quadrature_operator",
+    "quadrature_stats",
+    "rotate_phase",
+    "to_density",
+    "variance_to_db",
+]
+
 import math
 from dataclasses import dataclass
 
@@ -54,7 +68,7 @@ class FockVector:
             raise InvalidState("FockVector needs a 1-D amplitude array with n_max >= 1")
         norm = np.linalg.norm(amps)
         if not (abs(norm - 1.0) <= 1e-12):
-            raise InvalidState(f"FockVector norm {norm!r} is not 1 within 1e-12")
+            raise InvalidState(f"FockVector norm {float(norm)!r} is not 1 within 1e-12")
         amps.setflags(write=False)
         object.__setattr__(self, "amplitudes", amps)
 
@@ -78,7 +92,7 @@ class FockDensity:
             raise InvalidState("density matrix is not Hermitian within 1e-12")
         tr = np.trace(rho).real
         if not (abs(tr - 1.0) <= TRACE_TOL):
-            raise InvalidState(f"density matrix trace {tr!r} is not 1 within 1e-12")
+            raise InvalidState(f"density matrix trace {float(tr)!r} is not 1 within 1e-12")
         # eigvalsh is cheap at the truncations used here: ~1 ms at n_max = 100
         if not (np.min(np.linalg.eigvalsh(rho)) >= PSD_TOL):
             raise InvalidState("density matrix has an eigenvalue below -1e-10")
@@ -99,8 +113,12 @@ class QuadratureStats:
     variance: float
 
     def __post_init__(self):
-        if not (self.variance > 0.0):
-            raise InvalidState(f"quadrature variance {self.variance!r} must be > 0")
+        if not (math.isfinite(self.phi_lo) and math.isfinite(self.mean)):
+            raise InvalidState(
+                f"quadrature phase {float(self.phi_lo)!r} and mean {float(self.mean)!r} must be finite"
+            )
+        if not (0.0 < self.variance < math.inf):
+            raise InvalidState(f"quadrature variance {float(self.variance)!r} must be finite and > 0")
 
 
 def make_fock_vector(amplitudes) -> FockVector:
@@ -143,6 +161,8 @@ def rotate_phase(state: FockDensity, phi: float) -> FockDensity:
 
     Maps X_phi statistics of rho onto X1 statistics of the rotated state.
     """
+    if not math.isfinite(phi):
+        raise InvalidState(f"rotation phase must be finite, got {float(phi)!r}")
     n = np.arange(state.matrix.shape[0])
     phase = np.exp(-1j * phi * n)
     return FockDensity(state.matrix * np.outer(phase, phase.conj()))

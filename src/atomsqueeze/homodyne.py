@@ -34,6 +34,16 @@ a given seed; substreams for multi-phase scans are spawned through
 SeedSequence.
 """
 
+__all__ = [
+    "GENERATOR_ID",
+    "HomodyneRun",
+    "VarianceEstimate",
+    "estimate_variance",
+    "marginal_density",
+    "phase_scan",
+    "sample_quadratures",
+]
+
 import math
 from dataclasses import dataclass
 
@@ -120,14 +130,14 @@ def _tabulate(state: fock.FockDensity, phi_lo: float, xs: np.ndarray, blocks) ->
     rho = fock.rotate_phase(state, phi_lo).matrix.real
     p = _marginal(rho, blocks, xs.size)
     if not (np.min(p) >= DENSITY_FLOOR):
-        raise InvalidState(f"marginal density reaches {np.min(p)!r} < {DENSITY_FLOOR}")
+        raise InvalidState(f"marginal density reaches {float(np.min(p))!r} < {DENSITY_FLOOR}")
     p = np.clip(p, 0.0, None)
     dx = xs[1] - xs[0]
     cdf = np.concatenate([[0.0], np.cumsum((p[1:] + p[:-1]) * (dx / 2.0))])
     total = cdf[-1]
     if not (abs(total - 1.0) <= 1e-6):
         half = float(xs[-1])
-        raise InvalidState(f"marginal mass on [{-half!r}, {half!r}] is {total!r}, not 1")
+        raise InvalidState(f"marginal mass on [{-half!r}, {half!r}] is {float(total)!r}, not 1")
     return cdf / total
 
 

@@ -24,6 +24,21 @@ At coupling*t = pi/2 the atom decouples and the field is left in a pure
 vacuum/one-photon superposition (see field_superposition_at_quarter_period).
 """
 
+__all__ = [
+    "AtomPrep",
+    "DipoleCheck",
+    "JCParams",
+    "JointAtomFieldState",
+    "closed_form_variances",
+    "dipole_squeezing_check",
+    "evolve_resonant",
+    "field_variances",
+    "min_field_variance",
+    "numeric_evolve",
+    "reduced_field_density",
+    "transient_sweep",
+]
+
 import math
 from dataclasses import dataclass
 
@@ -203,11 +218,18 @@ def field_variances(prep: AtomPrep, params: JCParams, t: float) -> tuple[float, 
 
 def closed_form_variance_at(prep: AtomPrep, lam_t, phi_lo: float):
     """Var(X_phi_lo) closed form at lam_t = coupling * t; broadcasts over an array lam_t."""
+    # a float (np.float64 included) skips np.ndim, which costs ~1 us per call
+    scalar = isinstance(lam_t, float) or np.ndim(lam_t) == 0
+    # checked before numpy sees them: np.sin(inf) warns, and NaN would pass through
+    if not (math.isfinite(lam_t) if scalar else np.isfinite(lam_t).all()):
+        raise InvalidParameter("lam_t = coupling * t must be finite everywhere")
+    if not math.isfinite(phi_lo):
+        raise InvalidParameter(f"LO phase must be finite, got {float(phi_lo)!r}")
     c2 = math.cos(prep.theta / 2.0) ** 2
     s2 = math.sin(prep.theta / 2.0) ** 2
     sl2 = np.sin(lam_t) ** 2
-    var = 0.25 + c2 * sl2 * (0.5 - s2 * math.sin(prep.phi + phi_lo) ** 2)
-    return float(var) if np.ndim(lam_t) == 0 else var
+    var = fock.VACUUM_VARIANCE + c2 * sl2 * (0.5 - s2 * math.sin(prep.phi + phi_lo) ** 2)
+    return float(var) if scalar else var
 
 
 def closed_form_variances(prep: AtomPrep, lam_t) -> tuple:
@@ -227,7 +249,7 @@ def min_field_variance(prep: AtomPrep) -> float:
     """
     c2 = math.cos(prep.theta / 2.0) ** 2
     s2 = math.sin(prep.theta / 2.0) ** 2
-    return 0.25 + c2 * min(0.0, 0.5 - s2)
+    return fock.VACUUM_VARIANCE + c2 * min(0.0, 0.5 - s2)
 
 
 def dipole_squeezing_check(prep: AtomPrep) -> DipoleCheck:

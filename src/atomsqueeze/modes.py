@@ -16,6 +16,21 @@ eta_total = eta_collection * eta_overlap * eta_detector, under which every
 quadrature variance maps as V -> eta_total V + (1 - eta_total)/4.
 """
 
+__all__ = [
+    "EMITTER_PRESETS",
+    "EfficiencyBudget",
+    "EmitterParams",
+    "TemporalMode",
+    "detected_squeezing",
+    "emitted_mode",
+    "linewidth_check",
+    "lo_linewidth_requirement",
+    "lo_mode",
+    "matched_overlap",
+    "mode_overlap",
+    "window_tradeoff",
+]
+
 import math
 import sys
 from dataclasses import dataclass
@@ -118,7 +133,7 @@ class TemporalMode:
         ts = np.asarray(t, dtype=float)
         vals = np.where(
             (ts >= 0.0) & (ts <= self.window),
-            self._front * np.exp(-self.rate * np.minimum(ts, self.window)),
+            self._front * np.exp(-self.rate * ts),
             0.0,
         )
         return float(vals) if np.ndim(t) == 0 else vals

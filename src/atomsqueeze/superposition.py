@@ -13,6 +13,18 @@ cos^2(phi_rel) and sin^2(phi_rel) terms.  The strongest squeezing over all
 phases, 3/16 at beta = 1/2, sits about 1.25 dB below the vacuum floor.
 """
 
+__all__ = [
+    "SuperpositionSpec",
+    "make_superposition",
+    "min_variance",
+    "optimal_beta",
+    "quadrature_variances",
+    "superposition_variance",
+    "squeezed_vacuum",
+    "squeezing_region",
+    "variance_at_lo_phase",
+]
+
 import math
 from dataclasses import dataclass
 
@@ -51,9 +63,11 @@ def make_superposition(spec: SuperpositionSpec) -> fock.FockVector:
 
 def variance_at_lo_phase(spec: SuperpositionSpec, phi_lo: float) -> float:
     """Closed-form Var(X_phi_lo) of the superposition state."""
+    if not math.isfinite(phi_lo):
+        raise InvalidParameter(f"LO phase must be finite, got {float(phi_lo)!r}")
     b2 = spec.beta_abs**2
     c = math.cos(spec.rel_phase - phi_lo)
-    return 0.25 + b2 / 2.0 - (1.0 - b2) * b2 * c * c
+    return fock.VACUUM_VARIANCE + b2 / 2.0 - (1.0 - b2) * b2 * c * c
 
 
 def superposition_variance(spec: SuperpositionSpec, quadrature_index: int) -> float:
@@ -77,7 +91,7 @@ def quadrature_variances(spec: SuperpositionSpec) -> tuple[float, float]:
 def min_variance(spec: SuperpositionSpec) -> float:
     """Variance at the optimal LO phase: 1/4 + beta^2 (beta^2 - 1/2)."""
     b2 = spec.beta_abs**2
-    return 0.25 + b2 * (b2 - 0.5)
+    return fock.VACUUM_VARIANCE + b2 * (b2 - 0.5)
 
 
 def squeezing_region(spec: SuperpositionSpec) -> bool:
@@ -86,7 +100,7 @@ def squeezing_region(spec: SuperpositionSpec) -> bool:
     Strict test with a 1e-12 guard so beta = 0 and beta = 1/sqrt(2)
     (where the minimum exactly touches 1/4) report False.
     """
-    return min_variance(spec) < 0.25 - 1e-12
+    return min_variance(spec) < fock.VACUUM_VARIANCE - 1e-12
 
 
 def optimal_beta(n_scan: int = 10_000) -> tuple[float, float, float]:
@@ -100,7 +114,7 @@ def optimal_beta(n_scan: int = 10_000) -> tuple[float, float, float]:
     beta_opt, v_opt = 0.5, 3.0 / 16.0
     betas = np.linspace(0.0, 1.0, n_scan)
     b2 = betas**2
-    v_scan = 0.25 + b2 * (b2 - 0.5)
+    v_scan = fock.VACUUM_VARIANCE + b2 * (b2 - 0.5)
     i = int(np.argmin(v_scan))
     step = float(betas[1] - betas[0])
     if abs(float(betas[i]) - beta_opt) > step or abs(float(v_scan[i]) - v_opt) > step:

@@ -18,6 +18,12 @@ diagonal d = n - m at a time, as in QuTiP's iterative Wigner method
 (Johansson, Nation & Nori, Comput. Phys. Commun. 184, 1234 (2013)).
 """
 
+__all__ = [
+    "WignerGrid",
+    "wigner_marginal",
+    "wigner_of_state",
+]
+
 import math
 from dataclasses import dataclass
 
@@ -31,8 +37,6 @@ MIN_RESOLUTION = 16
 MIN_RANGE_WIDTH = 2.0  # four vacuum standard deviations
 DEFAULT_RANGE = (-4.0, 4.0)
 DEFAULT_RESOLUTION = 201
-
-_trapz = getattr(np, "trapezoid", None) or np.trapz
 
 
 @dataclass(frozen=True)
@@ -103,7 +107,7 @@ def wigner_of_state(
     x2 = np.linspace(x2_range[0], x2_range[1], resolution)
     alpha = x1[:, None] + 1j * x2[None, :]
     values = _displacement_kernel(state.matrix, alpha)
-    integral = float(_trapz(_trapz(values, x2, axis=1), x1))
+    integral = float(np.trapezoid(np.trapezoid(values, x2, axis=1), x1))
     return WignerGrid(x1=x1, x2=x2, values=values, integral=integral)
 
 
@@ -123,7 +127,7 @@ def wigner_marginal(grid: WignerGrid, phi_lo: float) -> tuple[np.ndarray, np.nda
     xx = x[:, None] * c - y[None, :] * s
     yy = x[:, None] * s + y[None, :] * c
     sampled = _bilinear(grid.values, (xx - x[0]) / (x[1] - x[0]), (yy - y[0]) / (y[1] - y[0]))
-    return x, _trapz(sampled, y, axis=1)
+    return x, np.trapezoid(sampled, y, axis=1)
 
 
 def _bilinear(values: np.ndarray, r: np.ndarray, c: np.ndarray) -> np.ndarray:

@@ -48,9 +48,35 @@ def test_make_fock_vector_rejects_non_finite():
         fock.make_fock_vector([1.0, float("inf")])
 
 
+def test_make_fock_vector_rejects_empty_input():
+    with pytest.raises(InvalidState, match="non-empty"):
+        fock.make_fock_vector([])
+
+
 def test_fock_vector_rejects_unnormalized_direct_construction():
     with pytest.raises(InvalidState):
         fock.FockVector(np.array([0.5, 0.5], dtype=complex))
+
+
+def test_fock_vector_rejects_bad_shapes():
+    with pytest.raises(InvalidState, match="1-D"):
+        fock.FockVector(np.eye(2, dtype=complex))
+    with pytest.raises(InvalidState, match="n_max >= 1"):
+        fock.FockVector(np.array([1.0], dtype=complex))
+
+
+def test_fock_density_rejects_non_square_matrix():
+    with pytest.raises(InvalidState, match="square"):
+        fock.FockDensity(np.full((2, 3), 1.0 / 3.0, dtype=complex))
+
+
+def test_validation_messages_print_plain_floats():
+    with pytest.raises(InvalidState, match=r"norm 1\.1 is not 1") as exc:
+        fock.FockVector(np.array([1.1, 0.0], dtype=complex))
+    assert "np.float64" not in str(exc.value)
+    with pytest.raises(InvalidState, match=r"trace 1\.2 is not 1") as exc:
+        fock.FockDensity(np.array([[0.6, 0.0], [0.0, 0.6]], dtype=complex))
+    assert "np.float64" not in str(exc.value)
 
 
 def test_fock_density_validation():
@@ -73,6 +99,14 @@ def test_rotate_phase_rejects_nan_phase():
         fock.rotate_phase(rho, math.nan)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
+def test_rotate_phase_names_a_non_finite_phase(phi):
+    rho = fock.to_density(fock.make_fock_vector(ONE_THIRD_STATE))
+    with pytest.raises(InvalidState, match=f"rotation phase must be finite, got {float(phi)!r}$"):
+        fock.rotate_phase(rho, phi)
+
+
 def test_to_density_is_projector():
     v = fock.make_fock_vector(ONE_THIRD_STATE)
     rho = fock.to_density(v).matrix
@@ -83,6 +117,23 @@ def test_to_density_is_projector():
 def test_quadrature_stats_rejects_nonpositive_variance_report():
     with pytest.raises(InvalidState):
         fock.QuadratureStats(phi_lo=0.0, mean=0.0, variance=0.0)
+
+
+@pytest.mark.parametrize(
+    "phi_lo, mean, variance",
+    [
+        (math.nan, math.inf, 0.3),
+        (math.nan, 0.0, 0.3),
+        (math.inf, 0.0, 0.3),
+        (0.0, math.nan, 0.3),
+        (0.0, -math.inf, 0.3),
+        (0.0, 0.0, math.inf),
+        (0.0, 0.0, math.nan),
+    ],
+)
+def test_quadrature_stats_rejects_non_finite_fields(phi_lo, mean, variance):
+    with pytest.raises(InvalidState, match="must be finite"):
+        fock.QuadratureStats(phi_lo=phi_lo, mean=mean, variance=variance)
 
 
 # ------------------------------------------------------------------ operators

@@ -9,7 +9,7 @@ from scipy.special import eval_hermite
 from scipy.stats import kstest, kstwobign
 
 from atomsqueeze import fock, homodyne, superposition
-from atomsqueeze.errors import DegenerateData, InvalidParameter
+from atomsqueeze.errors import DegenerateData, InvalidParameter, InvalidState
 from atomsqueeze.homodyne import HomodyneRun, VarianceEstimate
 from atomsqueeze.superposition import SuperpositionSpec
 
@@ -210,6 +210,35 @@ def test_run_rejects_non_finite_lo_phase():
     for phi_lo in (math.nan, math.inf):
         with pytest.raises(InvalidParameter, match="phi_lo"):
             HomodyneRun(state=VACUUM, phi_lo=phi_lo, eta_total=1.0, n_samples=1000, seed=1)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("phi_lo", [math.nan, math.inf, -math.inf])
+def test_marginal_density_names_a_non_finite_phase(phi_lo):
+    with pytest.raises(InvalidState, match="rotation phase must be finite"):
+        homodyne.marginal_density(ONE_THIRD, phi_lo)
+
+
+def test_tabulate_rejects_a_marginal_below_the_density_floor():
+    # psi = a|0> + b|1> with a = -2 b x0 has a marginal node at x0, a grid
+    # point; mixing in -eps |phi><phi|, phi orthogonal to psi, stays within
+    # PSD_TOL but pushes p(x0) to ~-4e-11, below DENSITY_FLOOR
+    x0 = OLD_GRID[32767]
+    b = 1.0 / math.sqrt(1.0 + 4.0 * x0 * x0)
+    a = -2.0 * b * x0
+    psi, phi, eps = np.array([a, b]), np.array([b, -a]), 5e-11
+    rho = fock.FockDensity((1.0 + eps) * np.outer(psi, psi) - eps * np.outer(phi, phi))
+    with pytest.raises(InvalidState, match=r"marginal density reaches -3\.98\d*e-11 < -1e-12") as exc:
+        homodyne.tabulated_cdf(rho, 0.0)
+    assert "np.float64" not in str(exc.value)
+
+
+def test_tabulate_rejects_a_grid_that_misses_mass():
+    # [-1, 1] is two vacuum standard deviations: it holds 0.9545 of the mass
+    xs = np.linspace(-1.0, 1.0, homodyne.CDF_POINTS)
+    with pytest.raises(InvalidState, match=r"mass on \[-1\.0, 1\.0\] is 0\.9544\d*, not 1") as exc:
+        homodyne._tabulate(VACUUM, 0.0, xs, homodyne._psi_blocks(VACUUM.n_max, xs))
+    assert "np.float64" not in str(exc.value)
 
 
 def test_variance_estimate_requires_positive_variance():

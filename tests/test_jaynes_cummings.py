@@ -322,6 +322,22 @@ def test_closed_form_variance_broadcasts_and_keeps_scalar_floats():
     assert type(v1) is float and type(v2) is float
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_closed_forms_reject_non_finite_inputs(bad):
+    prep = AtomPrep(2.0, 0.7)
+    with pytest.raises(InvalidParameter, match="lam_t"):
+        jc.closed_form_variances(prep, bad)
+    with pytest.raises(InvalidParameter, match="lam_t"):
+        jc.closed_form_variances(prep, np.array([0.0, 1.0, bad]))
+    with pytest.raises(InvalidParameter, match="lam_t"):
+        jc.closed_form_variance_at(prep, np.float64(bad), 0.0)
+    with pytest.raises(InvalidParameter, match="LO phase must be finite"):
+        jc.closed_form_variance_at(prep, 1.0, bad)
+    with pytest.raises(InvalidParameter, match="LO phase must be finite"):
+        jc.closed_form_variance_at(prep, np.linspace(0.0, 1.0, 3), bad)
+
+
 def test_transient_sweep_matches_reduced_density_oracle():
     # the sweep runs on the closed forms; field_variances is the independent path
     for params in (ZERO_FREQ, RESONANT):

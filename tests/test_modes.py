@@ -48,6 +48,12 @@ def test_emitter_rejects_nan_derived_rates():
         EmitterParams(lifetime_tau=1.0, gamma_rate=1.0, linewidth_hz=math.nan)
 
 
+@pytest.mark.parametrize("tau", [math.nan, math.inf])
+def test_emitter_rejects_a_non_finite_lifetime_built_directly(tau):
+    with pytest.raises(InvalidParameter, match="lifetime must be finite"):
+        EmitterParams(lifetime_tau=tau, gamma_rate=1.0, linewidth_hz=1.0)
+
+
 def test_emitter_rejects_a_lifetime_whose_rate_overflows():
     # 1e-309 s is subnormal and 1 / 1e-309 is inf: the error names the lifetime
     with pytest.raises(InvalidParameter, match="lifetime 1e-309") as err:
@@ -76,6 +82,19 @@ def test_truncated_mode_envelope():
     t = np.linspace(0.0, 3.0, 200001)
     norm = float(np.trapezoid(m.amplitude(t) ** 2, t))
     assert abs(norm - 1.0) < 1e-9
+
+
+@pytest.mark.filterwarnings("error")
+def test_truncated_mode_is_zero_past_its_window():
+    m = modes.lo_mode(2.0, window=3.0)
+    assert np.array_equal(m.amplitude(np.array([3.0 + 1e-12, 50.0, 1e300, math.inf])), np.zeros(4))
+    assert m.amplitude(3.0) == m.amplitude(np.array([3.0]))[0] > 0.0
+
+
+def test_mode_rejects_a_rate_whose_norm_overflows():
+    # 2 * 1e308 overflows to inf, so the L2 norm is inf * 0 = NaN
+    with pytest.raises(InvalidState, match="mode L2 norm is nan"):
+        modes.exponential_mode(1e308)
 
 
 def test_mode_validation():

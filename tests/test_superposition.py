@@ -91,6 +91,13 @@ def test_min_variance_bounds_phase_scan():
         assert min(scan) <= floor + 1e-6  # dense scan reaches the minimum
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("phi_lo", [math.nan, math.inf, -math.inf])
+def test_variance_at_lo_phase_rejects_a_non_finite_phase(phi_lo):
+    with pytest.raises(InvalidParameter, match="LO phase must be finite"):
+        superposition.variance_at_lo_phase(ONE_THIRD, phi_lo)
+
+
 def test_squeezing_region_boundaries():
     assert not superposition.squeezing_region(SuperpositionSpec(0.0, 0.0))
     assert superposition.squeezing_region(SuperpositionSpec(0.5, 0.0))

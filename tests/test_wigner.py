@@ -8,7 +8,7 @@ from scipy import integrate, ndimage
 from scipy.special import eval_genlaguerre, eval_hermite
 
 from atomsqueeze import fock, superposition, wigner
-from atomsqueeze.errors import InvalidParameter
+from atomsqueeze.errors import InvalidParameter, InvalidState
 from atomsqueeze.superposition import SuperpositionSpec
 
 TWO_OVER_PI = 2.0 / math.pi
@@ -279,6 +279,12 @@ def test_wigner_parameter_validation():
         wigner.wigner_of_state(rho, x1_range=(-0.5, 0.5))
     with pytest.raises(InvalidParameter):
         wigner.wigner_of_state(rho, x2_range=(0.0, float("inf")))
+
+
+def test_grid_rejects_values_that_do_not_match_the_axes():
+    axis = np.linspace(-4.0, 4.0, 17)
+    with pytest.raises(InvalidState, match="shape"):
+        wigner.WignerGrid(x1=axis, x2=axis, values=np.zeros((17, 16)), integral=1.0)
 
 
 def test_grid_arrays_are_frozen():
