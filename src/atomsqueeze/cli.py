@@ -264,10 +264,6 @@ def _csv_text(meta: dict, columns: dict[str, np.ndarray]) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _scalar_table(result: dict) -> dict[str, np.ndarray]:
-    return {k: np.array([v]) for k, v in result.items()}
-
-
 def _source_spec(params: dict, phase_key: str = "phi") -> superposition.SuperpositionSpec:
     return superposition.SuperpositionSpec(beta_abs=params["beta"], rel_phase=params[phase_key])
 
@@ -475,7 +471,8 @@ def run(args: argparse.Namespace) -> int:
     if args.fmt == "json":
         text = _json_text(meta, out.result)
     else:
-        text = _csv_text(meta, out.columns if out.columns is not None else _scalar_table(out.result))
+        columns = out.columns if out.columns is not None else {k: np.array([v]) for k, v in out.result.items()}
+        text = _csv_text(meta, columns)
     sink = contextlib.nullcontext(sys.stdout)
     if args.out is not None:
         sink = open(args.out, "w", encoding="utf-8", newline="")
@@ -488,8 +485,7 @@ def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
     except SystemExit as exc:  # argparse prints its own message
-        code = exc.code if exc.code is not None else 0
-        return EXIT_PARAMETER if code not in (0,) else 0
+        return EXIT_OK if exc.code in (0, None) else EXIT_PARAMETER
     try:
         return run(args)
     except InvalidParameter as exc:

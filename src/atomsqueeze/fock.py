@@ -152,6 +152,8 @@ def annihilation_matrix(n_max: int) -> np.ndarray:
 
 def quadrature_operator(n_max: int, phi_lo: float) -> np.ndarray:
     """X_phi = (a e^{-i phi} + a^dag e^{i phi}) / 2; the test oracle of quadrature_stats."""
+    if not math.isfinite(phi_lo):  # as quadrature_stats, so the oracle and its kernel agree
+        raise InvalidState(f"LO phase must be finite, got {phi_lo!r}")
     a = annihilation_matrix(n_max)
     return (a * np.exp(-1j * phi_lo) + a.conj().T * np.exp(1j * phi_lo)) / 2.0
 

@@ -114,6 +114,8 @@ def marginal_density(state: fock.FockDensity, phi_lo: float):
 
     def density(x):
         xs = np.atleast_1d(np.asarray(x, dtype=float))
+        if not np.all(np.isfinite(xs)):  # checked before hermite_functions turns them into NaN
+            raise InvalidParameter(f"marginal density needs finite x, got {float(xs[~np.isfinite(xs)][0])!r}")
         vals = _marginal(rho, _psi_blocks(n_max, xs), xs.size)
         return vals[0] if np.isscalar(x) or np.ndim(x) == 0 else vals
 
@@ -180,8 +182,9 @@ class VarianceEstimate:
     std_error_normal_theory: float
 
     def __post_init__(self):
-        if not self.var_hat > 0.0:
-            raise InvalidParameter(f"var_hat must be positive, got {self.var_hat!r}")
+        errors = (self.mean_hat, self.std_error_of_var, self.std_error_normal_theory)
+        if not (0.0 < self.var_hat < math.inf) or not all(map(math.isfinite, errors)):
+            raise InvalidParameter(f"var_hat must be finite and > 0, the rest finite, got {self!r}")
 
 
 def detected_state(state: fock.FockDensity, eta_total: float) -> fock.FockDensity:

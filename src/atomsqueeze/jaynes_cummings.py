@@ -50,6 +50,7 @@ from .superposition import SuperpositionSpec
 
 NUMERIC_N_MAX = 4  # field truncation for the integrator; exact support is n <= 1
 MAX_STABLE_DT = 0.01  # in units of 1/coupling
+MAX_RK4_STEPS = 1_000_000  # round-off ~1e-16 per step stays 10x inside the 1e-9 norm check
 PREDICTION_GUARD = 1e-15  # a predicted dip below round-off is not a prediction
 
 
@@ -123,6 +124,10 @@ class DipoleCheck:
     normally_ordered_var_d1: float
     field_squeezing_predicted: bool
 
+    def __post_init__(self):
+        if not (math.isfinite(self.commutator_expectation) and math.isfinite(self.normally_ordered_var_d1)):
+            raise InvalidState(f"dipole criterion figures must be finite, got {self!r}")
+
 
 def _require_resonant(params: JCParams, t: float | None = None):
     """Reject detuned parameters and, when given, a time that is not finite and >= 0."""
@@ -149,10 +154,8 @@ def jc_hamiltonian(params: JCParams, n_max: int) -> np.ndarray:
     n = np.arange(dim)
     h[:dim, :dim] = np.diag(params.omega * n + params.omega0 / 2.0)
     h[dim:, dim:] = np.diag(params.omega * n - params.omega0 / 2.0)
-    for k in range(n_max):  # coupling block: |g,n+1> <-> |e,n>
-        g = params.coupling * math.sqrt(k + 1.0)
-        h[dim + k + 1, k] = g
-        h[k, dim + k + 1] = g
+    k = n[:-1]  # coupling block: |g,n+1> <-> |e,n>
+    h[dim + k + 1, k] = h[k, dim + k + 1] = params.coupling * np.sqrt(k + 1.0)
     return h
 
 
@@ -166,27 +169,21 @@ def numeric_evolve(prep: AtomPrep, params: JCParams, t: float, dt: float) -> Joi
     """
     _require_resonant(params, t)
     if not math.isfinite(dt) or dt <= 0.0 or dt > MAX_STABLE_DT / params.coupling:
-        raise InvalidParameter(
-            f"dt must be in (0, {MAX_STABLE_DT}/coupling], got {dt!r}"
-        )
+        raise InvalidParameter(f"dt must be in (0, {MAX_STABLE_DT}/coupling], got {dt!r}")
+    steps = t / dt
+    if not steps <= MAX_RK4_STEPS:  # written so that an overflowed t / dt = inf fails it
+        raise InvalidParameter(f"t / dt = {steps!r} RK4 steps, more than the {MAX_RK4_STEPS} allowed")
+    n_steps = max(1, math.ceil(steps))
     dim = NUMERIC_N_MAX + 1
     psi = np.zeros(2 * dim, dtype=complex)
     psi[0] = math.cos(prep.theta / 2.0)
     psi[dim] = math.sin(prep.theta / 2.0) * np.exp(1j * prep.phi)
-    h = jc_hamiltonian(params, NUMERIC_N_MAX)
-
-    def deriv(v):
-        return -1j * (h @ v)
-
-    n_steps = max(1, math.ceil(t / dt)) if t > 0.0 else 0
-    if n_steps:
-        step = t / n_steps
-        for _ in range(n_steps):
-            k1 = deriv(psi)
-            k2 = deriv(psi + 0.5 * step * k1)
-            k3 = deriv(psi + 0.5 * step * k2)
-            k4 = deriv(psi + step * k3)
-            psi = psi + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    # one RK4 step of psi' = -iH psi is psi -> T psi, T = I + a + a^2/2 + a^3/6 + a^4/24, a = -iH t / n_steps
+    a = (-1j * (t / n_steps)) * jc_hamiltonian(params, NUMERIC_N_MAX)
+    eye = np.eye(2 * dim)
+    rk4_step = eye + a @ (eye + (a / 2.0) @ (eye + (a / 3.0) @ (eye + a / 4.0)))
+    for _ in range(n_steps):
+        psi = rk4_step @ psi
     psi = psi * np.exp(-1j * params.omega * t / 2.0)
     return JointAtomFieldState(amp_e=psi[:dim], amp_g=psi[dim:])
 
@@ -275,11 +272,7 @@ def dipole_squeezing_check(prep: AtomPrep) -> DipoleCheck:
     commutator = c2 - s2
     nvar = c2 / 2.0 - s2 * c2 * math.cos(prep.phi) ** 2
     predicted = commutator < -PREDICTION_GUARD and nvar < -PREDICTION_GUARD
-    return DipoleCheck(
-        commutator_expectation=commutator,
-        normally_ordered_var_d1=nvar,
-        field_squeezing_predicted=predicted,
-    )
+    return DipoleCheck(commutator, nvar, predicted)
 
 
 def field_superposition_at_quarter_period(prep: AtomPrep) -> tuple[SuperpositionSpec, float]:

@@ -183,8 +183,9 @@ def linewidth_check(emitter: EmitterParams, claimed_hz: float | None = None, rel
     computed = emitter.linewidth_hz
     if claimed_hz is None:
         return computed, True
-    if not (claimed_hz > 0.0) or not (rel_tol > 0.0):
-        raise InvalidParameter("claimed_hz and rel_tol must be > 0")
+    # an infinite claim or tolerance would pass as inf <= inf, so both must be finite
+    if not (0.0 < claimed_hz < math.inf) or not (0.0 < rel_tol < math.inf):
+        raise InvalidParameter("claimed_hz and rel_tol must be finite and > 0")
     return computed, abs(computed - claimed_hz) <= rel_tol * claimed_hz
 
 
@@ -218,6 +219,8 @@ class EfficiencyBudget:
         expected = self.eta_total * self.input_variance + (1.0 - self.eta_total) * fock.VACUUM_VARIANCE
         if not (abs(self.detected_variance - expected) <= 1e-12):
             raise InvalidState("detected variance violates V -> eta V + (1 - eta)/4")
+        if not math.isfinite(self.detected_db):
+            raise InvalidState(f"detected_db must be finite, got {self.detected_db!r}")
 
 
 def detected_squeezing(

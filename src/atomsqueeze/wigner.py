@@ -51,8 +51,8 @@ class WignerGrid:
     def __post_init__(self):
         if self.values.shape != (self.x1.size, self.x2.size):
             raise InvalidState("values shape does not match the axes")
-        if not (np.max(np.abs(self.values)) <= WIGNER_BOUND + 1e-9):
-            raise InvalidState("Wigner values are not finite or exceed the 2/pi bound")
+        if not (np.max(np.abs(self.values)) <= WIGNER_BOUND + 1e-9 and math.isfinite(self.integral)):
+            raise InvalidState("Wigner values or integral are not finite, or values exceed the 2/pi bound")
         for arr in (self.x1, self.x2, self.values):
             arr.setflags(write=False)
 

@@ -1,0 +1,156 @@
+"""The library's non-finite-input contract.
+
+Every callable in `atomsqueeze.__all__` is called once for each of its
+`float`-annotated parameters set to NaN, +inf, -inf, 1e300 and -1e300, with
+every other parameter valid and a numpy RuntimeWarning raised as an error.
+Each call must raise an AtomSqueezeError subclass or return only finite
+numbers, dataclass fields included.  The value set is fixed and exhaustive,
+so the cases are a plain parametrization rather than sampled.
+"""
+
+import dataclasses
+import inspect
+import math
+import types
+import typing
+
+import numpy as np
+import pytest
+
+import atomsqueeze
+from atomsqueeze import AtomSqueezeError, fock, modes, superposition, wigner
+
+pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
+
+BAD_FLOATS = (math.nan, math.inf, -math.inf, 1e300, -1e300)
+
+_SPEC = superposition.SuperpositionSpec(beta_abs=0.5, rel_phase=0.3)
+_STATE = fock.to_density(superposition.make_superposition(_SPEC))
+_EMITTER = modes.EmitterParams.from_preset("yb2+_3p1")
+_GRID = wigner.wigner_of_state(_STATE, resolution=41)
+
+# One valid value per parameter name of the callables under test; a name missing
+# here fails its cases with a KeyError.  Sizes stay small and are never varied.
+VALID = {
+    "beta_abs": 0.5,
+    "claimed_hz": _EMITTER.linewidth_hz,
+    "commutator_expectation": -0.5,
+    "coupling": 1.0,
+    "detected_db": fock.variance_to_db(0.225),
+    "detected_variance": 0.225,  # 0.4 * 0.1875 + 0.6 * 0.25
+    "dt": 0.01,
+    "emitted": modes.emitted_mode(_EMITTER.gamma_rate),
+    "emitter": _EMITTER,
+    "eta": 0.7,
+    "eta_collection": 0.5,
+    "eta_detector": 1.0,
+    "eta_overlap": 0.8,
+    "eta_total": 0.4,  # eta_collection * eta_overlap * eta_detector
+    "field_squeezing_predicted": True,
+    "gamma": 1.0,
+    "gamma_rate": _EMITTER.gamma_rate,
+    "grid": _GRID,
+    "input_variance": 0.1875,
+    "integral": _GRID.integral,
+    "lifetime_tau": _EMITTER.lifetime_tau,
+    "linewidth_hz": _EMITTER.linewidth_hz,
+    "lo": modes.lo_mode(_EMITTER.gamma_rate, 5.0 * _EMITTER.lifetime_tau),
+    "mean": 0.1,
+    "mean_hat": 0.1,
+    "n": 100,
+    "n_max": 4,
+    "n_phases": 4,
+    "n_samples": 100,
+    "n_steps": 3,
+    "normally_ordered_var_d1": -0.1,
+    "omega": 1.0,
+    "omega0": 1.0,
+    "params": atomsqueeze.JCParams(omega0=1.0, omega=1.0, coupling=1.0),
+    "phi": 0.4,
+    "phi_lo": 0.3,
+    "prep": atomsqueeze.AtomPrep(theta=2.0, phi=0.4),
+    "preset": "custom",
+    "rate": 0.5,
+    "ratio": 0.1,
+    "rel_phase": 0.3,
+    "rel_tol": 0.05,
+    "seed": 1,
+    "shape": "truncated-exponential",
+    "source": _SPEC,
+    "spec": _SPEC,
+    "state": _STATE,
+    "std_error_normal_theory": 0.01,
+    "std_error_of_var": 0.01,
+    "t": 1.0,
+    "t_max": 1.0,
+    "theta": 2.0,
+    "values": _GRID.values,
+    "var_hat": 0.25,
+    "variance": 0.25,
+    "window": 2.0,
+    "windows": np.array([1e-7, 2e-7]),
+    "x1": _GRID.x1,
+    "x2": _GRID.x2,
+    "xi": 0.5,
+}
+
+
+def _is_float(annotation) -> bool:
+    """float itself, or a union holding it such as float | None (not tuple[float, float])."""
+    if typing.get_origin(annotation) in (typing.Union, types.UnionType):
+        return float in typing.get_args(annotation)
+    return annotation is float
+
+
+def _cases():
+    for name in atomsqueeze.__all__:
+        obj = getattr(atomsqueeze, name)
+        if not callable(obj) or (isinstance(obj, type) and issubclass(obj, BaseException)):
+            continue
+        for param in inspect.signature(obj).parameters.values():
+            if _is_float(param.annotation):
+                for bad in BAD_FLOATS:
+                    yield pytest.param(name, param.name, bad, id=f"{name}-{param.name}={bad!r}")
+
+
+def _allowed(obj, field: str, value) -> bool:
+    # the documented untruncated mode: an exponential TemporalMode has window = inf,
+    # as TemporalMode, emitted_mode and lo_mode build it
+    if isinstance(obj, modes.TemporalMode) and field == "window":
+        return obj.shape == "exponential" and value == math.inf
+    return False
+
+
+def _non_finite(value, path: str = "result"):
+    """Paths of the non-finite numbers in a returned value."""
+    if dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            v = getattr(value, f.name)
+            if not _allowed(value, f.name, v):
+                yield from _non_finite(v, f"{path}.{f.name}")
+    elif isinstance(value, (tuple, list)):
+        for i, v in enumerate(value):
+            yield from _non_finite(v, f"{path}[{i}]")
+    elif isinstance(value, (np.ndarray, np.number, int, float, complex)):
+        if not np.all(np.isfinite(value)):
+            yield path
+    elif callable(value):  # marginal_density returns the density as a function of x
+        yield from _non_finite(value(0.5), f"{path}(0.5)")
+    elif not isinstance(value, str):
+        raise TypeError(f"{path} has an unchecked type {type(value).__name__}")
+
+
+@pytest.mark.parametrize(("name", "param", "bad"), list(_cases()))
+def test_non_finite_input_raises_or_returns_finite(name, param, bad):
+    func = getattr(atomsqueeze, name)
+    kwargs = {p: VALID[p] for p in inspect.signature(func).parameters}
+    kwargs[param] = bad
+    try:
+        result = func(**kwargs)
+    except AtomSqueezeError:
+        return
+    if name == "variance_to_db" and bad == math.inf:
+        # an infinite variance is infinitely far above the vacuum floor: inf dB is the answer
+        assert result == math.inf
+        return
+    assert list(_non_finite(result)) == []

@@ -169,6 +169,15 @@ def test_quadrature_operator_phases():
     assert np.max(np.abs(x - x.conj().T)) < 1e-15
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("phi_lo", [math.nan, math.inf, -math.inf])
+def test_quadrature_operator_rejects_a_non_finite_phase_as_quadrature_stats_does(phi_lo):
+    rho = fock.to_density(fock.make_fock_vector([1.0, 1.0]))
+    for oracle in (lambda: fock.quadrature_operator(3, phi_lo), lambda: fock.quadrature_stats(rho, phi_lo)):
+        with pytest.raises(InvalidState, match="LO phase must be finite"):
+            oracle()
+
+
 # ----------------------------------------------------------------- statistics
 
 def test_vacuum_quadrature_stats():

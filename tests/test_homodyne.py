@@ -219,6 +219,14 @@ def test_marginal_density_names_a_non_finite_phase(phi_lo):
         homodyne.marginal_density(ONE_THIRD, phi_lo)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [math.nan, math.inf, -math.inf, np.array([0.0, math.inf])])
+def test_marginal_density_names_a_non_finite_x(x):
+    density = homodyne.marginal_density(ONE_THIRD, 0.3)
+    with pytest.raises(InvalidParameter, match="finite x, got -?(nan|inf)"):
+        density(x)
+
+
 def test_tabulate_rejects_a_marginal_below_the_density_floor():
     # psi = a|0> + b|1> with a = -2 b x0 has a marginal node at x0, a grid
     # point; mixing in -eps |phi><phi|, phi orthogonal to psi, stays within

@@ -139,6 +139,48 @@ def test_numeric_norm_drift_stays_tiny():
     assert abs(norm - 1.0) < 1e-9
 
 
+def test_numeric_step_matrix_is_the_four_stage_rk4_step():
+    # the stage loop the step matrix replaces, kept as the oracle
+    prep = AtomPrep(theta=1.9, phi=5.1)
+    t, dt = 0.5, 0.01
+    dim = jc.NUMERIC_N_MAX + 1
+    h = jc.jc_hamiltonian(RESONANT, jc.NUMERIC_N_MAX)
+    psi = np.zeros(2 * dim, dtype=complex)
+    psi[0] = math.cos(prep.theta / 2.0)
+    psi[dim] = math.sin(prep.theta / 2.0) * np.exp(1j * prep.phi)
+    n_steps = math.ceil(t / dt)
+    step = t / n_steps
+    for _ in range(n_steps):
+        k1 = -1j * (h @ psi)
+        k2 = -1j * (h @ (psi + 0.5 * step * k1))
+        k3 = -1j * (h @ (psi + 0.5 * step * k2))
+        k4 = -1j * (h @ (psi + step * k3))
+        psi = psi + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    psi = psi * np.exp(-1j * RESONANT.omega * t / 2.0)
+    state = jc.numeric_evolve(prep, RESONANT, t, dt)
+    assert np.max(np.abs(np.concatenate([state.amp_e, state.amp_g]) - psi)) < 1e-14
+
+
+def test_numeric_evolve_at_t_zero_is_the_initial_state_exactly():
+    prep = AtomPrep(theta=1.9, phi=5.1)
+    state = jc.numeric_evolve(prep, RESONANT, 0.0, 0.01)
+    exact = jc.evolve_resonant(prep, RESONANT, 0.0)
+    assert np.array_equal(state.amp_e[:2], exact.amp_e)
+    assert np.array_equal(state.amp_g[:2], exact.amp_g)
+    assert not np.any(state.amp_e[2:]) and not np.any(state.amp_g[2:])
+
+
+@pytest.mark.parametrize(("t", "dt"), [(1e300, 1e-3), (1.7e308, 1e-4), (1000.0005, 1e-3)])
+def test_numeric_evolve_caps_its_step_count_before_any_step(t, dt, monkeypatch):
+    # t / dt = 1e303, an overflowed inf, and 1,000,000.5: each is past MAX_RK4_STEPS
+    def forbidden(*args):
+        raise AssertionError("the step matrix was built for a rejected step count")
+
+    monkeypatch.setattr(jc, "jc_hamiltonian", forbidden)
+    with pytest.raises(InvalidParameter, match="RK4 steps"):
+        jc.numeric_evolve(AtomPrep(theta=1.0, phi=0.0), ZERO_FREQ, t, dt)
+
+
 def test_numeric_step_validation():
     prep = AtomPrep(theta=1.0, phi=0.0)
     with pytest.raises(InvalidParameter):

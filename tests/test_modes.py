@@ -197,6 +197,16 @@ def test_linewidth_check_values():
         modes.linewidth_check(em, claimed_hz=-1.0)
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan])
+def test_linewidth_check_rejects_a_non_finite_claim_or_tolerance(bad):
+    # abs(computed - inf) <= 0.05 * inf is inf <= inf, which would accept any claim
+    em = EmitterParams.from_lifetime(TAU)
+    with pytest.raises(InvalidParameter, match="finite"):
+        modes.linewidth_check(em, claimed_hz=bad)
+    with pytest.raises(InvalidParameter, match="finite"):
+        modes.linewidth_check(em, claimed_hz=700e3, rel_tol=bad)
+
+
 def test_lo_linewidth_requirement():
     em = EmitterParams.from_lifetime(TAU)
     assert abs(modes.lo_linewidth_requirement(em, 0.1) - 0.1 * em.linewidth_hz) < 1e-9

@@ -1,6 +1,10 @@
 """The package namespace: what `atomsqueeze` re-exports, in order."""
 
+import pathlib
 import types
+import warnings
+
+import pytest
 
 import atomsqueeze
 from atomsqueeze import errors, fock, homodyne, jaynes_cummings, modes, superposition, wigner
@@ -91,3 +95,11 @@ def test_namespace_holds_the_public_names_and_submodules_only():
         if not name.startswith("__") and not isinstance(getattr(atomsqueeze, name), types.ModuleType)
     }
     assert public == set(PUBLIC_NAMES) - {"__version__"}
+
+
+def test_pyproject_reads_the_version_from_the_package():
+    pyprojecttoml = pytest.importorskip("setuptools.config.pyprojecttoml")
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")  # setuptools calls its [tool.setuptools] table beta
+        config = pyprojecttoml.read_configuration(pathlib.Path(__file__).parents[1] / "pyproject.toml")
+    assert config["project"]["version"] == atomsqueeze.__version__
