@@ -32,16 +32,19 @@ EXIT_IO = 4
 _REQUIRED = object()
 
 # Caps on the inputs that size memory; larger values exit 2.  Results are held
-# as numpy arrays, but the output text is built whole before it is written
-# (~100 bytes per CSV cell at the peak), so each cap keeps a run within a few
-# hundred MiB.  A phase scan draws samples x n-phases values, so that product
-# has its own cap: either input at its cap with the other at its default
-# passes, both at their caps (4.1e9 draws, minutes of work) do not.
+# as numpy arrays.  CSV text is streamed in blocks of _CHUNK_ROWS rows, and a
+# JSON document, whose arrays are small except for a Wigner grid, is built
+# whole before its one write (a 1,001^2 grid peaks near 220 MiB).  So the caps
+# bound the arrays, the JSON text and the run time.  A phase scan draws
+# samples x n-phases values, so that product has its own cap: either input at
+# its cap with the other at its default passes, both at their caps (4.1e9
+# draws, minutes of work) do not.
 MAX_SAMPLES = 1_000_000
 MAX_RES = 1001
 MAX_STEPS = 100_000
 MAX_PHASES = 4096
 MAX_SCAN_DRAWS = 16 * MAX_SAMPLES
+_CHUNK_ROWS = 16_384  # CSV rows per write
 
 
 @dataclass(frozen=True)
@@ -132,8 +135,9 @@ DEFAULT_FORMAT = {
 @dataclass
 class CommandOutput:
     """A handler's output.  Arrays in `result` become JSON lists only when JSON
-    is written.  `columns` are the CSV table, named 1-D arrays; when it is
-    None the CSV body is the one-row table of the scalar results."""
+    is written.  `columns` are the CSV table, named 1-D arrays (an object
+    column holds its cells' text); when it is None the CSV body is the
+    one-row table of the scalar results."""
 
     n_max: int
     result: dict
@@ -247,11 +251,32 @@ def _meta(command: str, params: dict, out: CommandOutput) -> dict:
     return meta
 
 
-def _json_text(meta: dict, result: dict) -> str:
-    # keep the document strict JSON: no bare Infinity/NaN tokens
-    return json.dumps(_jsonable({"meta": meta, "result": result}), indent=2) + "\n"
+_BOOL_TEXT = {True: "true", False: "false"}
 
-def _csv_text(meta: dict, columns: dict[str, np.ndarray]) -> str:
+
+def _cells(col: np.ndarray):
+    """The text of a 1-D column, one formatter chosen from its dtype: floats
+    by repr, bools as true/false, ints by str.  str and object columns hold
+    their cells' text already."""
+    kind = col.dtype.kind
+    if kind == "f":
+        return map(float.__repr__, col.tolist())
+    if kind == "b":
+        return map(_BOOL_TEXT.__getitem__, col.tolist())
+    if kind in "iu":
+        return map(str, col.tolist())
+    return col.tolist()
+
+
+def _json_text(meta: dict, result: dict, fh) -> None:
+    """Write the JSON document.  This and _csv_text format and write, so the
+    cli.serialize span that bench/tracing.py wraps them in by name covers both."""
+    # keep the document strict JSON: no bare Infinity/NaN tokens
+    fh.write(json.dumps(_jsonable({"meta": meta, "result": result}), indent=2) + "\n")
+
+
+def _csv_text(meta: dict, columns: dict[str, np.ndarray], fh) -> None:
+    """Write the commented header, then the table in blocks of _CHUNK_ROWS rows."""
     lines = []
     for key, val in meta.items():
         if key == "parameters":
@@ -260,8 +285,11 @@ def _csv_text(meta: dict, columns: dict[str, np.ndarray]) -> str:
         else:
             lines.append(f"# {key}: {_fmt(val)}")
     lines.append(",".join(columns))
-    lines.extend(map(",".join, zip(*(map(_fmt, col.tolist()) for col in columns.values()))))
-    return "\n".join(lines) + "\n"
+    fh.write("\n".join(lines) + "\n")
+    cols = list(columns.values())
+    for start in range(0, len(cols[0]), _CHUNK_ROWS):
+        rows = zip(*(_cells(col[start:start + _CHUNK_ROWS]) for col in cols))
+        fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def _source_spec(params: dict, phase_key: str = "phi") -> superposition.SuperpositionSpec:
@@ -326,12 +354,14 @@ def _run_wigner(params: dict, explicit: set) -> CommandOutput:
         "values": grid.values,
         "integral": grid.integral,
     }
+    # each axis value is formatted once and its text repeated in every row
+    x1_text, x2_text = (np.array(list(_cells(x)), dtype=object) for x in (grid.x1, grid.x2))
     return CommandOutput(
         n_max=1,
         result=result,
         columns={  # row-major: x1 outer, x2 inner
-            "x1": np.repeat(grid.x1, grid.x2.size),
-            "x2": np.tile(grid.x2, grid.x1.size),
+            "x1": np.repeat(x1_text, grid.x2.size),
+            "x2": np.tile(x2_text, grid.x1.size),
             "w": grid.values.ravel(),
         },
         extra_meta={"convention": "vacuum-variance=1/4", "integral": grid.integral},
@@ -468,16 +498,15 @@ def run(args: argparse.Namespace) -> int:
     params, explicit = resolve_params(command, config_values, cli_values)
     out = HANDLERS[command](params, explicit)
     meta = _meta(command, params, out)
-    if args.fmt == "json":
-        text = _json_text(meta, out.result)
-    else:
-        columns = out.columns if out.columns is not None else {k: np.array([v]) for k, v in out.result.items()}
-        text = _csv_text(meta, columns)
     sink = contextlib.nullcontext(sys.stdout)
     if args.out is not None:
         sink = open(args.out, "w", encoding="utf-8", newline="")
     with sink as fh:
-        fh.write(text)
+        if args.fmt == "json":
+            _json_text(meta, out.result, fh)
+        else:
+            columns = out.columns if out.columns is not None else {k: np.array([v]) for k, v in out.result.items()}
+            _csv_text(meta, columns, fh)
     return EXIT_OK
 
 

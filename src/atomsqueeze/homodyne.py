@@ -249,13 +249,24 @@ def estimate_variance(samples: np.ndarray) -> VarianceEstimate:
     n = x.size
     if n < 2:
         raise InvalidParameter(f"variance needs >= 2 samples, got {n}")
+    # a non-finite sample, or one so far from the mean that its fourth power
+    # overflows, makes m4 non-finite; the check reads the sums, not the samples
+    with np.errstate(over="ignore", invalid="ignore"):
+        mean = float(np.mean(x))
+        d2 = x - mean
+        d2 *= d2
+        var = float(d2.sum() / (n - 1))  # np.var(x, ddof=1) bit for bit
+        m4 = float(np.dot(d2, d2) / n)
+    if not math.isfinite(m4):
+        bad = ~np.isfinite(x)
+        # else the sample farthest from the mean, whose fourth power overflows
+        i = int(np.argmax(bad) if bad.any() else np.argmax(d2))
+        raise InvalidParameter(
+            f"sample {i} is {float(x[i])!r}: samples must be finite, and close enough"
+            " to their mean that the fourth central moment is finite"
+        )
     if np.all(x == x[0]):
         raise DegenerateData("all samples identical; variance estimate is degenerate")
-    mean = float(np.mean(x))
-    d2 = x - mean
-    d2 *= d2
-    var = float(d2.sum() / (n - 1))  # np.var(x, ddof=1) bit for bit
-    m4 = float(np.dot(d2, d2) / n)
     se2 = (m4 - var * var * (n - 3.0) / (n - 1.0)) / n
     return VarianceEstimate(
         n=n,

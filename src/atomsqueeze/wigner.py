@@ -35,6 +35,7 @@ from .errors import InvalidParameter, InvalidState
 WIGNER_BOUND = 2.0 / math.pi
 MIN_RESOLUTION = 16
 MIN_RANGE_WIDTH = 2.0  # four vacuum standard deviations
+MAX_RANGE_END = 1e150  # keeps |2 alpha|^2 = 4 (x1^2 + x2^2) <= 8e300; see _max_range_end
 DEFAULT_RANGE = (-4.0, 4.0)
 DEFAULT_RESOLUTION = 201
 
@@ -84,6 +85,23 @@ def _displacement_kernel(rho: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     return (2.0 / math.pi) * w
 
 
+def _max_range_end(dim: int) -> float:
+    """Largest |x1|, |x2| on which _displacement_kernel stays finite for a
+    dim-level state.
+
+    On the grid x = |2 alpha|^2 <= 8 R^2.  The Laguerre recurrence at order m
+    reaches about x^m / m!, and its products m times that, so the top order
+    K = dim - 1 sets the bound: K ln(x) - ln(K!) + ln(K) <= 700, a margin of
+    e^9.8 under the float maximum.  At K <= 1 no power of x beyond the first
+    is formed, and MAX_RANGE_END keeps x itself finite.
+    """
+    k = dim - 1
+    if k <= 1:
+        return MAX_RANGE_END
+    log_x = (700.0 + math.lgamma(k + 1) - math.log(k)) / k
+    return min(MAX_RANGE_END, math.sqrt(math.exp(log_x) / 8.0))
+
+
 def wigner_of_state(
     state: fock.FockDensity,
     x1_range: tuple[float, float] = DEFAULT_RANGE,
@@ -98,10 +116,12 @@ def wigner_of_state(
     """
     if resolution < MIN_RESOLUTION:
         raise InvalidParameter(f"resolution must be >= {MIN_RESOLUTION}, got {resolution!r}")
+    end = _max_range_end(state.matrix.shape[0])
     for lo, hi in (x1_range, x2_range):
-        if not (math.isfinite(lo) and math.isfinite(hi)) or hi - lo < MIN_RANGE_WIDTH:
+        if not (abs(lo) <= end and abs(hi) <= end and hi - lo >= MIN_RANGE_WIDTH):
             raise InvalidParameter(
-                f"axis range must span at least {MIN_RANGE_WIDTH} quadrature units, got ({lo!r}, {hi!r})"
+                f"axis range must lie within +-{end:.4g} (at n_max = {state.n_max}) and span at least"
+                f" {MIN_RANGE_WIDTH} quadrature units, got ({lo!r}, {hi!r})"
             )
     x1 = np.linspace(x1_range[0], x1_range[1], resolution)
     x2 = np.linspace(x2_range[0], x2_range[1], resolution)

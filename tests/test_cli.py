@@ -1,6 +1,7 @@
 """Command line front end: config layering, formats, provenance, exit codes."""
 
 import contextlib
+import errno
 import io
 import json
 import math
@@ -13,7 +14,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atomsqueeze import cli, fock, homodyne, jaynes_cummings as jc, modes
+from atomsqueeze import cli, fock, homodyne, jaynes_cummings as jc, modes, wigner
 from atomsqueeze.errors import DegenerateData, InvalidParameter, InvalidState, NotSupported
 
 
@@ -453,13 +454,24 @@ def test_numeric_failures_exit_3(monkeypatch, capsys):
     assert capsys.readouterr().err.startswith("error: data:")
 
 
-def test_non_finite_wigner_grid_exits_3(capsys):
-    argv = ["wigner", "--beta", "0.5", "--range", "1e200", "--res", "16", "--format", "json"]
-    with np.errstate(invalid="ignore", over="ignore"):
-        assert cli.main(argv) == 3
+def test_non_finite_wigner_grid_exits_3(monkeypatch, capsys):
+    monkeypatch.setattr(wigner, "_displacement_kernel", lambda rho, alpha: np.full(alpha.shape, np.nan))
+    argv = ["wigner", "--beta", "0.5", "--res", "16", "--format", "json"]
+    assert cli.main(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error: state:")
+
+
+def test_overflowing_wigner_range_exits_2_without_warnings():
+    proc = subprocess.run(
+        [sys.executable, "-W", "error", "-m", "atomsqueeze.cli", "wigner", "--beta", "0.5", "--range", "1e200"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("error: parameter: axis range must lie within")
+    assert proc.stderr.count("\n") == 1
 
 
 def test_unsupported_regime_exits_2(monkeypatch, capsys):
@@ -762,3 +774,154 @@ def test_homodyne_csv_samples_reproduce_json_estimates(tmp_path):
     assert est.n == res["n"] == 5000
     assert est.mean_hat == res["mean_hat"]  # repr round-trips every sample exactly
     assert est.var_hat == res["var_hat"]
+
+
+# ------------------------------------------------------------ streamed writer
+
+def _fmt_reference(v) -> str:
+    if isinstance(v, float):
+        return repr(v)
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return str(v)
+
+
+def _csv_reference(meta: dict, columns: dict) -> str:
+    """The CSV document built whole and written once, cell by cell."""
+    lines = []
+    for key, val in meta.items():
+        if key == "parameters":
+            body = " ".join(f"{k}={_fmt_reference(v)}" for k, v in val.items())
+            lines.append(f"# parameters: {body}")
+        else:
+            lines.append(f"# {key}: {_fmt_reference(val)}")
+    lines.append(",".join(columns))
+    lines.extend(map(",".join, zip(*(map(_fmt_reference, col.tolist()) for col in columns.values()))))
+    return "\n".join(lines) + "\n"
+
+
+def _record_meta(monkeypatch) -> list:
+    """Patch cli._meta to keep each (meta, CommandOutput) that a run writes."""
+    seen, real = [], cli._meta
+
+    def record(command, params, out):
+        meta = real(command, params, out)
+        seen.append((meta, out))
+        return meta
+
+    monkeypatch.setattr(cli, "_meta", record)
+    return seen
+
+
+def _mixed_columns(n: int) -> dict:
+    rng = np.random.default_rng(n)
+    scale = 10.0 ** rng.integers(-300, 300, size=n)
+    return {
+        "t": np.concatenate([[-0.0, 0.1, 1e16, 5e-324], rng.normal(size=n) * scale])[:n],
+        "k": rng.integers(-10**15, 10**15, size=n),
+        "ok": rng.random(n) < 0.5,
+        "label": np.array(["a", "bc", "def"] * n)[:n],
+        "text": np.array([repr(x) for x in rng.normal(size=n)], dtype=object),
+    }
+
+
+_ROW_COUNTS = [1, cli._CHUNK_ROWS - 1, cli._CHUNK_ROWS, cli._CHUNK_ROWS + 1]
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("n_rows", _ROW_COUNTS)
+def test_streamed_csv_equals_the_one_shot_reference(n_rows, to_file, monkeypatch, capsys, tmp_path):
+    columns = _mixed_columns(n_rows)
+    monkeypatch.setitem(cli.HANDLERS, "jc-sweep", lambda params, explicit: cli.CommandOutput(1, {}, columns))
+    seen = _record_meta(monkeypatch)
+    argv = ["jc-sweep", "--theta", "1.0", "--t-max", "1.0"]
+    if to_file:
+        text = _run_to_text(argv, tmp_path, "t.csv")
+    else:
+        assert cli.main(argv) == 0
+        text = capsys.readouterr().out
+    [(meta, _)] = seen
+    assert text == _csv_reference(meta, columns)
+
+
+@pytest.mark.parametrize("to_file", [False, True], ids=["stdout", "out"])
+@pytest.mark.parametrize("argv", [
+    ["homodyne", "--beta", "0.5", "--samples", str(cli._CHUNK_ROWS + 1), "--seed", "3", "--format", "csv"],
+    ["jc-sweep", "--theta", "2.0944", "--t-max", "6.2832", "--steps", str(cli._CHUNK_ROWS + 1)],
+], ids=["homodyne", "jc-sweep"])
+def test_streamed_command_csv_equals_the_one_shot_reference(argv, to_file, monkeypatch, capsys, tmp_path):
+    seen = _record_meta(monkeypatch)
+    if to_file:
+        text = _run_to_text(argv, tmp_path, "c.csv")
+    else:
+        assert cli.main(argv) == 0
+        text = capsys.readouterr().out
+    [(meta, out)] = seen
+    assert text == _csv_reference(meta, out.columns)
+
+
+def test_wigner_csv_axes_formatted_once_equal_the_float_reference(monkeypatch, capsys):
+    seen = _record_meta(monkeypatch)
+    assert cli.main(["wigner", "--beta", "0.57735", "--phi", "0.3", "--res", "129"]) == 0
+    [(meta, out)] = seen
+    x1, x2, values = out.result["x1"], out.result["x2"], out.result["values"]
+    assert x1.size * x2.size > cli._CHUNK_ROWS
+    floats = {"x1": np.repeat(x1, x2.size), "x2": np.tile(x2, x1.size), "w": values.ravel()}
+    assert capsys.readouterr().out == _csv_reference(meta, floats)
+
+
+class _FailingSink:
+    """A stdout whose n-th write fails, as on a full disk."""
+
+    def __init__(self, failing_write: int):
+        self.failing_write = failing_write
+        self.writes = 0
+
+    def write(self, text: str) -> int:
+        self.writes += 1
+        if self.writes == self.failing_write:
+            raise OSError(errno.ENOSPC, "No space left on device")
+        return len(text)
+
+
+@pytest.mark.parametrize(("fmt", "failing_write"), [("csv", 2), ("json", 1)])
+def test_a_failing_write_exits_4(fmt, failing_write, monkeypatch, capsys):
+    # CSV writes its header, then the rows: the second write fails midway.
+    # JSON is one write.
+    sink = _FailingSink(failing_write)
+    monkeypatch.setattr(sys, "stdout", sink)
+    assert cli.main(["wigner", "--beta", "0.5", "--res", "16", "--format", fmt]) == 4
+    assert sink.writes == failing_write
+    err = capsys.readouterr().err
+    assert err.startswith("error: io:")
+    assert "Traceback" not in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs a /dev/full device")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_out_to_a_full_device_exits_4(fmt):
+    proc = subprocess.run(
+        [sys.executable, "-m", "atomsqueeze.cli", "wigner", "--beta", "0.5", "--format", fmt, "--out", "/dev/full"],
+        capture_output=True, text=True,
+    )
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error: io:")
+    assert proc.stderr.count("\n") == 1  # no traceback, no ignored exception at exit
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+def test_homodyne_csv_at_the_sample_cap_streams_in_bounded_memory():
+    # VmHWM is the peak RSS of the child's own address space; its ru_maxrss
+    # would start at the peak of the (large) test process that spawned it
+    child = (
+        "import re, sys\n"
+        "from atomsqueeze import cli\n"
+        "code = cli.main(['homodyne', '--beta', '0.5', '--samples', '1000000', '--seed', '3', '--format', 'csv'])\n"
+        "sys.stdout.flush()\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    code, peak_kib = map(int, proc.stderr.split())
+    assert code == 0
+    assert peak_kib < 100 * 1024

@@ -1,6 +1,7 @@
 """Homodyne sampling chain: marginals, CDF inversion, estimators, KS check."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -293,6 +294,30 @@ def test_estimate_variance_error_paths():
         homodyne.estimate_variance(np.array([1.0]))
     with pytest.raises(DegenerateData):
         homodyne.estimate_variance(np.full(200, 0.7))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    ("samples", "named"),
+    [
+        ([math.inf, 0.0, 1.0], "sample 0 is inf"),
+        ([math.nan, 0.0, 1.0], "sample 0 is nan"),
+        ([0.0, 1.0, -math.inf], "sample 2 is -inf"),
+        ([math.inf, math.inf], "sample 0 is inf"),
+        ([1e200, -1e200, 0.0], "sample 0 is 1e+200"),
+        ([0.0, 1.0, 1e100], "sample 2 is 1e+100"),
+    ],
+)
+def test_estimate_variance_names_a_non_finite_or_overflowing_sample(samples, named):
+    with pytest.raises(InvalidParameter, match=re.escape(named)):
+        homodyne.estimate_variance(np.array(samples))
+
+
+@pytest.mark.filterwarnings("error")
+def test_estimate_variance_keeps_large_finite_moments():
+    est = homodyne.estimate_variance(np.array([0.0, 1.0, 1e70]))
+    assert est.var_hat == float(np.var([0.0, 1.0, 1e70], ddof=1))
+    assert math.isfinite(est.std_error_of_var)
 
 
 # ------------------------------------------------------------------- sampling

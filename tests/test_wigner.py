@@ -281,6 +281,61 @@ def test_wigner_parameter_validation():
         wigner.wigner_of_state(rho, x2_range=(0.0, float("inf")))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("ranges", [
+    ((-1e200, 1e200), (-4.0, 4.0)),
+    ((-4.0, 4.0), (-1e300, 1e300)),
+    ((-1.7e308, 1.7e308), (-4.0, 4.0)),
+    ((-4.0, 4.0), (1e150, 2e150)),
+])
+def test_wigner_rejects_a_range_whose_scale_overflows(ranges, monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(wigner, "_displacement_kernel", no_kernel)
+    rho = fock.to_density(fock.make_fock_vector([0.8, 0.6]))
+    with pytest.raises(InvalidParameter, match="axis range must lie within"):
+        wigner.wigner_of_state(rho, *ranges, resolution=16)
+
+
+def _dense_density(n_max: int) -> fock.FockDensity:
+    """A pure state with every amplitude non-zero, so every Laguerre order runs."""
+    rng = np.random.default_rng(n_max)
+    amps = rng.normal(size=n_max + 1) + 1j * rng.normal(size=n_max + 1)
+    return fock.to_density(fock.make_fock_vector(amps / np.linalg.norm(amps)))
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4, 20, 52, 100])
+def test_wigner_accepts_the_largest_range_end(n_max):
+    rho = _dense_density(n_max)
+    end = wigner._max_range_end(n_max + 1)
+    assert end >= 9.0  # far outside the default window at every n_max
+    grid = wigner.wigner_of_state(rho, (-end, end), (-end, end), 17)
+    assert np.all(np.isfinite(grid.values)) and math.isfinite(grid.integral)
+
+
+@pytest.mark.filterwarnings("error")
+def test_wigner_rejects_a_range_past_the_bound_of_its_cutoff(monkeypatch):
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(wigner, "_displacement_kernel", no_kernel)
+    with pytest.raises(InvalidParameter, match=r"axis range must lie within \+-70\.52 \(at n_max = 100\)"):
+        wigner.wigner_of_state(_dense_density(100), (-100.0, 100.0), (-100.0, 100.0), 16)
+
+
+@pytest.mark.filterwarnings("error")
+def test_kernel_overflows_just_past_the_bound():
+    # the bound is within a factor of three of the real one: at n_max 100 the
+    # recurrence overflows at three times its range end
+    rho = _dense_density(100)
+    end = 3.0 * wigner._max_range_end(101)
+    x = np.linspace(-end, end, 16)
+    with pytest.raises(RuntimeWarning, match="overflow"):
+        wigner._displacement_kernel(rho.matrix, x[:, None] + 1j * x[None, :])
+
+
 def test_grid_rejects_values_that_do_not_match_the_axes():
     axis = np.linspace(-4.0, 4.0, 17)
     with pytest.raises(InvalidState, match="shape"):
