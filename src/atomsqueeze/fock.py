@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidParameter, InvalidState
+from .errors import InvalidState, require_finite, require_in, require_int
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -144,16 +144,14 @@ def to_density(state: FockVector) -> FockDensity:
 
 def annihilation_matrix(n_max: int) -> np.ndarray:
     """Matrix of a on the truncated space, a[m, n] = sqrt(n) delta_{m, n-1}; the test oracle."""
-    if n_max < 1:
-        raise InvalidParameter("annihilation_matrix needs n_max >= 1")
+    require_int("n_max", n_max, 1)
     n = np.arange(1, n_max + 1)
     return np.diag(np.sqrt(n.astype(float)), k=1).astype(complex)
 
 
 def quadrature_operator(n_max: int, phi_lo: float) -> np.ndarray:
     """X_phi = (a e^{-i phi} + a^dag e^{i phi}) / 2; the test oracle of quadrature_stats."""
-    if not math.isfinite(phi_lo):  # as quadrature_stats, so the oracle and its kernel agree
-        raise InvalidState(f"LO phase must be finite, got {phi_lo!r}")
+    require_finite("LO phase", phi_lo)  # as quadrature_stats, so the oracle and its kernel agree
     a = annihilation_matrix(n_max)
     return (a * np.exp(-1j * phi_lo) + a.conj().T * np.exp(1j * phi_lo)) / 2.0
 
@@ -163,8 +161,7 @@ def rotate_phase(state: FockDensity, phi: float) -> FockDensity:
 
     Maps X_phi statistics of rho onto X1 statistics of the rotated state.
     """
-    if not math.isfinite(phi):
-        raise InvalidState(f"rotation phase must be finite, got {float(phi)!r}")
+    require_finite("rotation phase", phi)
     n = np.arange(state.matrix.shape[0])
     phase = np.exp(-1j * phi * n)
     return FockDensity(state.matrix * np.outer(phase, phase.conj()))
@@ -176,8 +173,7 @@ def quadrature_stats(state: FockDensity, phi_lo: float) -> QuadratureStats:
         <a> = sum_n sqrt(n) rho_{n,n-1},  <a^2> = sum_n sqrt(n(n-1)) rho_{n,n-2},
         mean = Re(e^{-i phi} <a>),  V = [1 + 2 sum_n n rho_{nn} + 2 Re(e^{-2i phi} <a^2>)] / 4 - mean^2
     """
-    if not math.isfinite(phi_lo):
-        raise InvalidState(f"LO phase must be finite, got {phi_lo!r}")
+    require_finite("LO phase", phi_lo)
     rho = state.matrix
     n = np.arange(1.0, rho.shape[0])
     a1 = np.dot(np.sqrt(n), np.diagonal(rho, -1))
@@ -202,8 +198,7 @@ def _loss_weights(n_max: int, eta: float) -> list[np.ndarray]:
     the entry <m|K_k|m+k> of the Kraus operators and the band weights of
     apply_loss alike.
     """
-    if not (0.0 <= eta <= 1.0):
-        raise InvalidParameter(f"loss transmission eta must be in [0, 1], got {eta!r}")
+    require_in("loss transmission eta", eta, 0, 1)
     dim = n_max + 1
     # 0.0**0 == 1.0 handles the eta = 0 and eta = 1 endpoints exactly
     return [

@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .errors import DegenerateData, InvalidParameter, InvalidState
+from .errors import DegenerateData, InvalidParameter, InvalidState, require_finite, require_in, require_int
 
 GENERATOR_ID = "numpy-philox4x64"
 CDF_POINTS = 2**16
@@ -72,8 +72,7 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     (2x / sqrt(n)) psi_{n-1} - sqrt((n-1)/n) psi_{n-2} in that order, so
     the values are those of the plain expression, bit for bit.
     """
-    if not isinstance(n_max, (int, np.integer)) or n_max < 0:
-        raise InvalidParameter(f"n_max must be an integer >= 0, got {n_max!r}")
+    require_int("n_max", n_max, 0)
     x = np.asarray(x, dtype=float)
     out = np.empty((n_max + 1, x.size))
     out[0] = (2.0 / math.pi) ** 0.25 * np.exp(-(x**2))
@@ -161,14 +160,10 @@ class HomodyneRun:
     seed: int
 
     def __post_init__(self):
-        if not math.isfinite(self.phi_lo):
-            raise InvalidParameter(f"phi_lo must be finite, got {self.phi_lo!r}")
-        if not (0.0 <= self.eta_total <= 1.0):
-            raise InvalidParameter(f"eta_total must be in [0, 1], got {self.eta_total!r}")
-        if self.n_samples < 100:
-            raise InvalidParameter(f"n_samples must be >= 100, got {self.n_samples!r}")
-        if not isinstance(self.seed, int) or self.seed < 0:
-            raise InvalidParameter(f"seed must be a non-negative integer, got {self.seed!r}")
+        require_finite("phi_lo", self.phi_lo)
+        require_in("eta_total", self.eta_total, 0, 1)
+        require_int("n_samples", self.n_samples, 100)
+        require_int("seed", self.seed, 0)
 
 
 @dataclass(frozen=True)
@@ -182,9 +177,10 @@ class VarianceEstimate:
     std_error_normal_theory: float
 
     def __post_init__(self):
-        errors = (self.mean_hat, self.std_error_of_var, self.std_error_normal_theory)
-        if not (0.0 < self.var_hat < math.inf) or not all(map(math.isfinite, errors)):
-            raise InvalidParameter(f"var_hat must be finite and > 0, the rest finite, got {self!r}")
+        require_int("n", self.n, 2)
+        require_in("var_hat", self.var_hat, 0, open_lo=True)
+        for name in ("mean_hat", "std_error_of_var", "std_error_normal_theory"):
+            require_finite(name, getattr(self, name))
 
 
 def detected_state(state: fock.FockDensity, eta_total: float) -> fock.FockDensity:
@@ -305,8 +301,7 @@ def phase_scan(
     master seed.  Returns rows
     (phi_lo, var_hat, db_hat, std_error, var_exact, db_exact).
     """
-    if n_phases < 4:
-        raise InvalidParameter(f"n_phases must be >= 4, got {n_phases!r}")
+    require_int("n_phases", n_phases, 4)
     lossy = detected_state(state, eta_total)
     # validates eta/n/seed once; per-phase draws reuse the lossy state
     HomodyneRun(state=state, phi_lo=0.0, eta_total=eta_total, n_samples=n_samples, seed=seed)

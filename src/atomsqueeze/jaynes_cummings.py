@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .errors import InvalidParameter, InvalidState, NotSupported
+from .errors import InvalidParameter, InvalidState, NotSupported, require_finite, require_in, require_int
 from .superposition import SuperpositionSpec
 
 NUMERIC_N_MAX = 4  # field truncation for the integrator; exact support is n <= 1
@@ -62,11 +62,8 @@ class AtomPrep:
     phi: float
 
     def __post_init__(self):
-        two_pi = 2.0 * math.pi
-        if not (0.0 <= self.theta < two_pi) or not (0.0 <= self.phi < two_pi):
-            raise InvalidParameter(
-                f"atom angles must lie in [0, 2*pi), got theta={self.theta!r} phi={self.phi!r}"
-            )
+        require_in("theta", self.theta, 0, math.tau, open_hi=True)
+        require_in("phi", self.phi, 0, math.tau, open_hi=True)
 
 
 @dataclass(frozen=True)
@@ -78,12 +75,9 @@ class JCParams:
     coupling: float
 
     def __post_init__(self):
-        for name in ("omega0", "omega", "coupling"):
-            v = getattr(self, name)
-            if not math.isfinite(v) or v < 0.0:
-                raise InvalidParameter(f"{name} must be finite and >= 0, got {v!r}")
-        if self.coupling <= 0.0:
-            raise InvalidParameter("coupling must be > 0")
+        require_in("omega0", self.omega0, 0)
+        require_in("omega", self.omega, 0)
+        require_in("coupling", self.coupling, 0, open_lo=True)
 
     @property
     def resonant(self) -> bool:
@@ -129,14 +123,13 @@ class DipoleCheck:
             raise InvalidState(f"dipole criterion figures must be finite, got {self!r}")
 
 
-def _require_resonant(params: JCParams, t: float | None = None):
-    """Reject detuned parameters and, when given, a time that is not finite and >= 0."""
+def _require_resonant(params: JCParams, t: float = 0.0):
+    """Reject detuned parameters and a time t that is not finite and >= 0."""
     if not params.resonant:
         raise NotSupported(
             f"only resonant evolution is implemented (omega={params.omega!r} != omega0={params.omega0!r})"
         )
-    if t is not None and not (0.0 <= t < math.inf):
-        raise InvalidParameter(f"time must be finite and >= 0, got {t!r}")
+    require_in("time", t, 0)
 
 
 def evolve_resonant(prep: AtomPrep, params: JCParams, t: float) -> JointAtomFieldState:
@@ -147,8 +140,7 @@ def evolve_resonant(prep: AtomPrep, params: JCParams, t: float) -> JointAtomFiel
 
 def jc_hamiltonian(params: JCParams, n_max: int) -> np.ndarray:
     """Joint Hamiltonian matrix, basis ordered [e;n] then [g;n], n = 0 .. n_max."""
-    if n_max < 1:
-        raise InvalidParameter("jc_hamiltonian needs n_max >= 1")
+    require_int("n_max", n_max, 1)
     dim = n_max + 1
     h = np.zeros((2 * dim, 2 * dim), dtype=complex)
     n = np.arange(dim)
@@ -168,12 +160,9 @@ def numeric_evolve(prep: AtomPrep, params: JCParams, t: float, dt: float) -> Joi
     matching evolve_resonant.
     """
     _require_resonant(params, t)
-    if not math.isfinite(dt) or dt <= 0.0 or dt > MAX_STABLE_DT / params.coupling:
-        raise InvalidParameter(f"dt must be in (0, {MAX_STABLE_DT}/coupling], got {dt!r}")
-    steps = t / dt
-    if not steps <= MAX_RK4_STEPS:  # written so that an overflowed t / dt = inf fails it
-        raise InvalidParameter(f"t / dt = {steps!r} RK4 steps, more than the {MAX_RK4_STEPS} allowed")
-    n_steps = max(1, math.ceil(steps))
+    require_in("dt", dt, 0, MAX_STABLE_DT / params.coupling, open_lo=True)
+    require_in("the number of RK4 steps t / dt", t / dt, 0, MAX_RK4_STEPS)  # an overflowed inf fails it
+    n_steps = max(1, math.ceil(t / dt))
     dim = NUMERIC_N_MAX + 1
     psi = np.zeros(2 * dim, dtype=complex)
     psi[0] = math.cos(prep.theta / 2.0)
@@ -220,8 +209,7 @@ def closed_form_variance_at(prep: AtomPrep, lam_t, phi_lo: float):
     # checked before numpy sees them: np.sin(inf) warns, and NaN would pass through
     if not (math.isfinite(lam_t) if scalar else np.isfinite(lam_t).all()):
         raise InvalidParameter("lam_t = coupling * t must be finite everywhere")
-    if not math.isfinite(phi_lo):
-        raise InvalidParameter(f"LO phase must be finite, got {float(phi_lo)!r}")
+    require_finite("LO phase", phi_lo)
     c2 = math.cos(prep.theta / 2.0) ** 2
     s2 = math.sin(prep.theta / 2.0) ** 2
     sl2 = np.sin(lam_t) ** 2
@@ -300,10 +288,9 @@ def transient_sweep(prep: AtomPrep, params: JCParams, t_max: float, n_steps: int
     cross-checks kept in the tests.
     """
     _require_resonant(params)
-    if not (0.0 < t_max and math.isfinite(params.coupling * t_max)):
-        raise InvalidParameter(f"t_max must be > 0 with coupling * t_max finite, got {t_max!r}")
-    if n_steps < 2:
-        raise InvalidParameter(f"n_steps must be >= 2, got {n_steps!r}")
+    require_in("t_max", t_max, 0, open_lo=True)
+    require_finite("coupling * t_max", params.coupling * t_max)
+    require_int("n_steps", n_steps, 2)
     ts = np.linspace(0.0, t_max, n_steps)
     v1, v2 = closed_form_variances(prep, params.coupling * ts)
     db1 = [fock.variance_to_db(v) for v in v1]

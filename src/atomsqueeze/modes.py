@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, superposition
-from .errors import InvalidParameter, InvalidState
+from .errors import InvalidParameter, InvalidState, require_in
 
 # Wigner-Weisskopf lifetimes, seconds; presets are data, not code
 EMITTER_PRESETS = {
@@ -75,8 +75,7 @@ class EmitterParams:
     linewidth_hz: float
 
     def __post_init__(self):
-        if not math.isfinite(self.lifetime_tau) or self.lifetime_tau <= 0.0:
-            raise InvalidParameter(f"lifetime must be finite and > 0, got {self.lifetime_tau!r}")
+        require_in("lifetime", self.lifetime_tau, 0, open_lo=True)
         if not (abs(self.gamma_rate * self.lifetime_tau - 1.0) <= 1e-12):
             raise InvalidParameter("gamma_rate is not 1/lifetime within 1e-12")
         if not (abs(self.linewidth_hz * 2.0 * math.pi * self.lifetime_tau - 1.0) <= 1e-12):
@@ -84,8 +83,7 @@ class EmitterParams:
 
     @classmethod
     def from_lifetime(cls, tau: float) -> "EmitterParams":
-        if not math.isfinite(tau) or tau <= 0.0:
-            raise InvalidParameter(f"lifetime must be finite and > 0, got {tau!r}")
+        require_in("lifetime", tau, 0, open_lo=True)
         if not math.isfinite(1.0 / tau):  # the smallest subnormal lifetimes have no finite rate
             raise InvalidParameter(f"lifetime {tau!r} is too small: 1/lifetime overflows")
         return cls(lifetime_tau=tau, gamma_rate=1.0 / tau, linewidth_hz=1.0 / (2.0 * math.pi * tau))
@@ -112,11 +110,9 @@ class TemporalMode:
     def __post_init__(self):
         if self.shape not in (EXPONENTIAL, TRUNCATED_EXPONENTIAL):
             raise InvalidParameter(f"unknown mode shape {self.shape!r}")
-        if not math.isfinite(self.rate) or self.rate <= 0.0:
-            raise InvalidParameter(f"amplitude decay rate must be finite and > 0, got {self.rate!r}")
+        require_in("amplitude decay rate", self.rate, 0, open_lo=True)
         if self.shape == TRUNCATED_EXPONENTIAL:
-            if not math.isfinite(self.window) or self.window <= 0.0:
-                raise InvalidParameter(f"window must be finite and > 0, got {self.window!r}")
+            require_in("window", self.window, 0, open_lo=True)
         elif not (self.window == math.inf):
             raise InvalidParameter("an untruncated exponential mode has window = inf")
         norm = _l2_norm_sq(self)
@@ -169,8 +165,8 @@ def mode_overlap(mode_a: TemporalMode, mode_b: TemporalMode) -> float:
 
 def matched_overlap(gamma: float, window: float) -> float:
     """Closed-form overlap of the emitted mode with a rate-matched truncated LO."""
-    if not (gamma > 0.0) or not (window > 0.0):
-        raise InvalidParameter("gamma and window must be > 0")
+    require_in("gamma", gamma, 0, open_lo=True)
+    require_in("window", window, 0, open_lo=True)
     return -math.expm1(-gamma * window)
 
 
@@ -184,15 +180,14 @@ def linewidth_check(emitter: EmitterParams, claimed_hz: float | None = None, rel
     if claimed_hz is None:
         return computed, True
     # an infinite claim or tolerance would pass as inf <= inf, so both must be finite
-    if not (0.0 < claimed_hz < math.inf) or not (0.0 < rel_tol < math.inf):
-        raise InvalidParameter("claimed_hz and rel_tol must be finite and > 0")
+    require_in("claimed_hz", claimed_hz, 0, open_lo=True)
+    require_in("rel_tol", rel_tol, 0, open_lo=True)
     return computed, abs(computed - claimed_hz) <= rel_tol * claimed_hz
 
 
 def lo_linewidth_requirement(emitter: EmitterParams, ratio: float) -> float:
     """LO linewidth needed to sit at `ratio` times the emitter linewidth."""
-    if not (0.0 < ratio < 1.0):
-        raise InvalidParameter(f"ratio must be in (0, 1), got {ratio!r}")
+    require_in("ratio", ratio, 0, 1, open_lo=True, open_hi=True)
     return ratio * emitter.linewidth_hz
 
 
@@ -211,9 +206,7 @@ class EfficiencyBudget:
 
     def __post_init__(self):
         for name in ("eta_collection", "eta_overlap", "eta_detector", "eta_total"):
-            v = getattr(self, name)
-            if not (0.0 <= v <= 1.0):
-                raise InvalidParameter(f"{name} must be in [0, 1], got {v!r}")
+            require_in(name, getattr(self, name), 0, 1)
         if not (abs(self.eta_total - self.eta_collection * self.eta_overlap * self.eta_detector) <= 1e-12):
             raise InvalidState("eta_total is not the product of its factors")
         expected = self.eta_total * self.input_variance + (1.0 - self.eta_total) * fock.VACUUM_VARIANCE
@@ -232,9 +225,8 @@ def detected_squeezing(
     preset: str = "custom",
 ) -> EfficiencyBudget:
     """Squeezing of the source state at the detector, LO phased to the minimum variance."""
-    for name, v in (("eta_collection", eta_collection), ("eta_detector", eta_detector)):
-        if not (0.0 <= v <= 1.0):
-            raise InvalidParameter(f"{name} must be in [0, 1], got {v!r}")
+    require_in("eta_collection", eta_collection, 0, 1)
+    require_in("eta_detector", eta_detector, 0, 1)
     eta_overlap = mode_overlap(emitted, lo)
     eta_total = eta_collection * eta_overlap * eta_detector
     v_source = superposition.min_variance(source)
@@ -265,8 +257,9 @@ def window_tradeoff(
     ascending grid of windows.
     """
     ws = np.asarray(windows, dtype=float)
-    if ws.ndim != 1 or ws.size < 1 or np.any(ws <= 0.0) or np.any(np.diff(ws) <= 0.0):
-        raise InvalidParameter("windows must be a strictly ascending grid of positive times")
+    # finite first, as np.diff warns on two infinite windows; each test is one a NaN fails
+    if ws.ndim != 1 or ws.size < 1 or not (np.isfinite(ws).all() and ws[0] > 0.0 and (np.diff(ws) > 0.0).all()):
+        raise InvalidParameter("windows must be a strictly ascending grid of finite positive times")
     em = emitted_mode(emitter.gamma_rate)
     rows = np.empty((ws.size, 3))
     for i, w in enumerate(ws):

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .errors import InvalidParameter, InvalidState
+from .errors import InvalidParameter, InvalidState, require_finite, require_in, require_int
 
 XI_MAX = 5.0  # |xi| beyond this is numerically pointless at the truncations used
 
@@ -44,10 +44,8 @@ class SuperpositionSpec:
     rel_phase: float
 
     def __post_init__(self):
-        if not (0.0 <= self.beta_abs <= 1.0) or not math.isfinite(self.beta_abs):
-            raise InvalidParameter(f"|beta| must be in [0, 1], got {self.beta_abs!r}")
-        if not math.isfinite(self.rel_phase):
-            raise InvalidParameter("rel_phase must be finite")
+        require_in("|beta|", self.beta_abs, 0, 1)
+        require_finite("rel_phase", self.rel_phase)
 
     @property
     def gamma(self) -> float:
@@ -63,8 +61,7 @@ def make_superposition(spec: SuperpositionSpec) -> fock.FockVector:
 
 def variance_at_lo_phase(spec: SuperpositionSpec, phi_lo: float) -> float:
     """Closed-form Var(X_phi_lo) of the superposition state."""
-    if not math.isfinite(phi_lo):
-        raise InvalidParameter(f"LO phase must be finite, got {float(phi_lo)!r}")
+    require_finite("LO phase", phi_lo)
     b2 = spec.beta_abs**2
     c = math.cos(spec.rel_phase - phi_lo)
     return fock.VACUUM_VARIANCE + b2 / 2.0 - (1.0 - b2) * b2 * c * c
@@ -76,11 +73,9 @@ def superposition_variance(spec: SuperpositionSpec, quadrature_index: int) -> fl
     Reduces to 1/4 + |beta|^2 (|beta|^2 - 1/2) at phi_rel in {0, pi} for X1
     and {pi/2, 3pi/2} for X2.
     """
-    if quadrature_index == 1:
-        return variance_at_lo_phase(spec, 0.0)
-    if quadrature_index == 2:
-        return variance_at_lo_phase(spec, math.pi / 2.0)
-    raise InvalidParameter(f"quadrature_index must be 1 or 2, got {quadrature_index!r}")
+    require_int("quadrature_index", quadrature_index, 1)
+    require_in("quadrature_index", quadrature_index, 1, 2)
+    return variance_at_lo_phase(spec, 0.0 if quadrature_index == 1 else math.pi / 2.0)
 
 
 def quadrature_variances(spec: SuperpositionSpec) -> tuple[float, float]:
@@ -109,8 +104,7 @@ def optimal_beta(n_scan: int = 10_000) -> tuple[float, float, float]:
     Analytic optimum beta = 1/2, V = 3/16; a 1-D grid scan over beta
     cross-checks the analytic minimum to grid resolution.
     """
-    if n_scan < 100:
-        raise InvalidParameter("grid scan needs at least 100 points")
+    require_int("n_scan", n_scan, 100)
     beta_opt, v_opt = 0.5, 3.0 / 16.0
     betas = np.linspace(0.0, 1.0, n_scan)
     b2 = betas**2
@@ -130,10 +124,10 @@ def squeezed_vacuum(xi: float, n_max: int) -> tuple[fock.FockVector, float]:
     Returns the renormalized state and the discarded probability weight
     1 - sum_{n <= n_max} |c_n|^2 of the exact expansion.
     """
-    if not math.isfinite(xi) or abs(xi) > XI_MAX:
-        raise InvalidParameter(f"squeeze parameter must satisfy |xi| <= {XI_MAX}, got {xi!r}")
-    if n_max < 4 or n_max % 2 != 0:
-        raise InvalidParameter(f"n_max must be an even integer >= 4, got {n_max!r}")
+    require_in("squeeze parameter xi", xi, -XI_MAX, XI_MAX)
+    require_int("n_max", n_max, 4)
+    if n_max % 2 != 0:
+        raise InvalidParameter(f"n_max must be even, got {n_max}")
     amps = np.zeros(n_max + 1, dtype=complex)
     th = math.tanh(xi)
     for k in range(n_max // 2 + 1):

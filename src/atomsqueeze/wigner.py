@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .errors import InvalidParameter, InvalidState
+from .errors import InvalidParameter, InvalidState, require_finite, require_int
 
 WIGNER_BOUND = 2.0 / math.pi
 MIN_RESOLUTION = 16
@@ -114,8 +114,7 @@ def wigner_of_state(
     clipped tail of every state handled here far below the 1e-6 level at
     which grid normalization is checked.
     """
-    if resolution < MIN_RESOLUTION:
-        raise InvalidParameter(f"resolution must be >= {MIN_RESOLUTION}, got {resolution!r}")
+    require_int("resolution", resolution, MIN_RESOLUTION)
     end = _max_range_end(state.matrix.shape[0])
     for lo, hi in (x1_range, x2_range):
         if not (abs(lo) <= end and abs(hi) <= end and hi - lo >= MIN_RANGE_WIDTH):
@@ -139,8 +138,7 @@ def wigner_marginal(grid: WignerGrid, phi_lo: float) -> tuple[np.ndarray, np.nda
     the density integrates to 1 up to the clipped corner mass, and the
     phi_lo = 0 and pi/2 cases reduce to plain row/column sums.
     """
-    if not math.isfinite(phi_lo):
-        raise InvalidParameter(f"LO phase must be finite, got {phi_lo!r}")
+    require_finite("LO phase", phi_lo)
     x = grid.x1
     y = grid.x2
     c, s = math.cos(phi_lo), math.sin(phi_lo)

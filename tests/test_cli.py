@@ -474,6 +474,20 @@ def test_overflowing_wigner_range_exits_2_without_warnings():
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    ("flag", "value"),
+    [("max-lifetimes", "inf"), ("min-lifetimes", "inf"), ("min-lifetimes", "-inf"), ("min-lifetimes", "-1e308")],
+)
+def test_window_sweep_bound_out_of_domain_exits_2_naming_the_flag(flag, value, capsys):
+    # np.linspace warns on such a bound and yields NaN windows, so each bound
+    # is checked before the grid is built, under a message naming its flag
+    assert cli.main(["window-sweep", "--collection", "0.5", f"--{flag}={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: parameter: {flag} must be finite and > 0, got {float(value)!r}\n"
+
+
 def test_unsupported_regime_exits_2(monkeypatch, capsys):
     def unsupported(params, explicit):
         raise NotSupported("detuned evolution")
@@ -640,7 +654,7 @@ def _fuzz_argv(draw):
 @given(_fuzz_argv())
 def test_cli_fuzz_exits_with_a_documented_code_and_strict_json(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
     if code == 0:
@@ -669,7 +683,7 @@ def _assert_csv_cell(column: str, cell: str) -> None:
 @given(_fuzz_argv().map(lambda argv: [argv[0], "--format", "csv", *argv[3:]]))
 def test_cli_fuzz_csv_rows_are_full_and_cells_finite(argv):
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main(argv)
     assert code in (0, 2, 3, 4), (argv, code, err.getvalue())
     if code != 0:
@@ -726,7 +740,7 @@ def test_cli_fuzz_config_files_exit_with_a_documented_code(case, fmt, tmp_path_f
     cfg = tmp_path_factory.mktemp("fuzz") / "run.cfg"
     cfg.write_text(text)
     out, err = io.StringIO(), io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), np.errstate(all="ignore"):
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = cli.main([command, "--config", str(cfg), "--format", fmt])
     assert code in (0, 2, 3, 4), (command, text, code, err.getvalue())
     if expected is not None:

@@ -1,11 +1,13 @@
-"""The library's non-finite-input contract.
+"""The library's non-finite-input and integer contracts.
 
 Every callable in `atomsqueeze.__all__` is called once for each of its
 `float`-annotated parameters set to NaN, +inf, -inf, 1e300 and -1e300, with
 every other parameter valid and a numpy RuntimeWarning raised as an error.
 Each call must raise an AtomSqueezeError subclass or return only finite
-numbers, dataclass fields included.  The value set is fixed and exhaustive,
-so the cases are a plain parametrization rather than sampled.
+numbers, dataclass fields included.  Each `int`-annotated parameter is set
+in turn to a non-integral float, -1 and True, and each such call must raise
+an AtomSqueezeError.  The value sets are fixed and exhaustive, so the cases
+are a plain parametrization rather than sampled.
 """
 
 import dataclasses
@@ -23,6 +25,7 @@ from atomsqueeze import AtomSqueezeError, fock, modes, superposition, wigner
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 BAD_FLOATS = (math.nan, math.inf, -math.inf, 1e300, -1e300)
+BAD_INTS = (1000.5, -1, True)
 
 _SPEC = superposition.SuperpositionSpec(beta_abs=0.5, rel_phase=0.3)
 _STATE = fock.to_density(superposition.make_superposition(_SPEC))
@@ -61,6 +64,7 @@ VALID = {
     "n_max": 4,
     "n_phases": 4,
     "n_samples": 100,
+    "n_scan": 100,
     "n_steps": 3,
     "normally_ordered_var_d1": -0.1,
     "omega": 1.0,
@@ -70,10 +74,12 @@ VALID = {
     "phi_lo": 0.3,
     "prep": atomsqueeze.AtomPrep(theta=2.0, phi=0.4),
     "preset": "custom",
+    "quadrature_index": 1,
     "rate": 0.5,
     "ratio": 0.1,
     "rel_phase": 0.3,
     "rel_tol": 0.05,
+    "resolution": 16,
     "seed": 1,
     "shape": "truncated-exponential",
     "source": _SPEC,
@@ -90,7 +96,9 @@ VALID = {
     "window": 2.0,
     "windows": np.array([1e-7, 2e-7]),
     "x1": _GRID.x1,
+    "x1_range": (-4.0, 4.0),
     "x2": _GRID.x2,
+    "x2_range": (-4.0, 4.0),
     "xi": 0.5,
 }
 
@@ -108,9 +116,9 @@ def _cases():
         if not callable(obj) or (isinstance(obj, type) and issubclass(obj, BaseException)):
             continue
         for param in inspect.signature(obj).parameters.values():
-            if _is_float(param.annotation):
-                for bad in BAD_FLOATS:
-                    yield pytest.param(name, param.name, bad, id=f"{name}-{param.name}={bad!r}")
+            bads = BAD_FLOATS if _is_float(param.annotation) else BAD_INTS if param.annotation is int else ()
+            for bad in bads:
+                yield pytest.param(name, param.name, bad, id=f"{name}-{param.name}={bad!r}")
 
 
 def _allowed(obj, field: str, value) -> bool:
@@ -149,6 +157,7 @@ def test_non_finite_input_raises_or_returns_finite(name, param, bad):
         result = func(**kwargs)
     except AtomSqueezeError:
         return
+    assert inspect.signature(func).parameters[param].annotation is not int, f"{param}={bad!r} was accepted"
     if name == "variance_to_db" and bad == math.inf:
         # an infinite variance is infinitely far above the vacuum floor: inf dB is the answer
         assert result == math.inf

@@ -95,7 +95,7 @@ def test_fock_density_rejects_nan():
 
 def test_rotate_phase_rejects_nan_phase():
     rho = fock.to_density(fock.make_fock_vector(ONE_THIRD_STATE))
-    with pytest.raises(InvalidState):
+    with pytest.raises(InvalidParameter):
         fock.rotate_phase(rho, math.nan)
 
 
@@ -103,7 +103,7 @@ def test_rotate_phase_rejects_nan_phase():
 @pytest.mark.parametrize("phi", [math.nan, math.inf, -math.inf, np.float64(math.nan)])
 def test_rotate_phase_names_a_non_finite_phase(phi):
     rho = fock.to_density(fock.make_fock_vector(ONE_THIRD_STATE))
-    with pytest.raises(InvalidState, match=f"rotation phase must be finite, got {float(phi)!r}$"):
+    with pytest.raises(InvalidParameter, match=f"rotation phase must be finite, got {float(phi)!r}$"):
         fock.rotate_phase(rho, phi)
 
 
@@ -174,7 +174,7 @@ def test_quadrature_operator_phases():
 def test_quadrature_operator_rejects_a_non_finite_phase_as_quadrature_stats_does(phi_lo):
     rho = fock.to_density(fock.make_fock_vector([1.0, 1.0]))
     for oracle in (lambda: fock.quadrature_operator(3, phi_lo), lambda: fock.quadrature_stats(rho, phi_lo)):
-        with pytest.raises(InvalidState, match="LO phase must be finite"):
+        with pytest.raises(InvalidParameter, match="LO phase must be finite"):
             oracle()
 
 
@@ -297,7 +297,7 @@ def test_stats_fields_are_python_floats():
 def test_stats_reject_non_finite_phase():
     rho = fock.to_density(fock.make_fock_vector(ONE_THIRD_STATE))
     for phi in (math.nan, math.inf, -math.inf):
-        with pytest.raises(InvalidState):
+        with pytest.raises(InvalidParameter):
             fock.quadrature_stats(rho, phi)
 
 

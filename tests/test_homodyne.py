@@ -216,7 +216,7 @@ def test_run_rejects_non_finite_lo_phase():
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("phi_lo", [math.nan, math.inf, -math.inf])
 def test_marginal_density_names_a_non_finite_phase(phi_lo):
-    with pytest.raises(InvalidState, match="rotation phase must be finite"):
+    with pytest.raises(InvalidParameter, match="rotation phase must be finite"):
         homodyne.marginal_density(ONE_THIRD, phi_lo)
 
 

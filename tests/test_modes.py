@@ -307,3 +307,12 @@ def test_window_tradeoff_validation():
         modes.window_tradeoff(OPTIMAL, 0.94, em, np.array([2.0, 1.0]) * TAU)
     with pytest.raises(InvalidParameter):
         modes.window_tradeoff(OPTIMAL, 0.94, em, np.array([0.0, 1.0]) * TAU)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tail", [[math.inf], [math.inf, math.inf], [math.nan], [2.0, math.nan]])
+def test_window_tradeoff_rejects_a_non_finite_window(tail):
+    # [1, inf, inf] has the NaN step inf - inf, which a "step <= 0" test lets through
+    em = EmitterParams.from_lifetime(TAU)
+    with pytest.raises(InvalidParameter, match="finite positive times"):
+        modes.window_tradeoff(OPTIMAL, 0.94, em, np.array([1.0, *tail]) * TAU)
