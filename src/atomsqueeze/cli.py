@@ -22,7 +22,8 @@ from datetime import datetime, timezone
 import numpy as np
 
 from . import __version__, fock, homodyne, jaynes_cummings, modes, superposition, wigner
-from .errors import DegenerateData, InvalidParameter, InvalidState, NotSupported, require_in, require_int
+from .errors import DegenerateData, InvalidParameter, InvalidState, NotSupported
+from .errors import require_finite, require_in, require_int
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -445,9 +446,11 @@ def _run_window_sweep(params: dict, explicit: set) -> CommandOutput:
     emitter = _emitter(params, explicit)
     spec = _source_spec(params, "rel-phase")
     require_int("steps", params["steps"], 2)
-    # checked before np.linspace, which warns on an infinite bound or an overflowing span
-    require_in("min-lifetimes", params["min-lifetimes"], 0, open_lo=True)
-    require_in("max-lifetimes", params["max-lifetimes"], 0, open_lo=True)
+    # checked before np.linspace, which warns on an infinite bound or an overflowing span,
+    # and before the grid is scaled; a float product overflows to inf without a warning
+    for name in ("min-lifetimes", "max-lifetimes"):
+        require_in(name, params[name], 0, open_lo=True)
+        require_finite(f"{name} x lifetime", params[name] * emitter.lifetime_tau)
     grid = np.linspace(params["min-lifetimes"], params["max-lifetimes"], params["steps"])
     rows = modes.window_tradeoff(
         spec, params["collection"], emitter, grid * emitter.lifetime_tau, params["detector"]

@@ -48,7 +48,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidState, require_finite, require_in, require_int
+from .errors import InvalidState, _shown, require_finite, require_in, require_int
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -156,15 +156,19 @@ def quadrature_operator(n_max: int, phi_lo: float) -> np.ndarray:
     return (a * np.exp(-1j * phi_lo) + a.conj().T * np.exp(1j * phi_lo)) / 2.0
 
 
+def _rotated(rho: np.ndarray, phi: float) -> np.ndarray:
+    """e^{-i phi n} rho e^{+i phi n} as a bare matrix, for kernels that only read it."""
+    require_finite("rotation phase", phi)
+    phase = np.exp(-1j * phi * np.arange(rho.shape[0]))
+    return rho * np.outer(phase, phase.conj())
+
+
 def rotate_phase(state: FockDensity, phi: float) -> FockDensity:
     """Number-phase rotation e^{-i phi n} rho e^{+i phi n}.
 
     Maps X_phi statistics of rho onto X1 statistics of the rotated state.
     """
-    require_finite("rotation phase", phi)
-    n = np.arange(state.matrix.shape[0])
-    phase = np.exp(-1j * phi * n)
-    return FockDensity(state.matrix * np.outer(phase, phase.conj()))
+    return FockDensity(_rotated(state.matrix, phi))
 
 
 def quadrature_stats(state: FockDensity, phi_lo: float) -> QuadratureStats:
@@ -187,7 +191,7 @@ def quadrature_stats(state: FockDensity, phi_lo: float) -> QuadratureStats:
 def variance_to_db(variance: float) -> float:
     """Squeezing level 10 log10(V / 0.25); negative means below vacuum."""
     if not (variance > 0.0):
-        raise InvalidState(f"variance must be > 0 to convert to dB, got {variance!r}")
+        raise InvalidState(f"variance must be > 0 to convert to dB, got {_shown(variance)}")
     return 10.0 * math.log10(variance / VACUUM_VARIANCE)
 
 

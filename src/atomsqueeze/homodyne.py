@@ -17,7 +17,8 @@ an (n_max+1) x len(x) array of psi.  `phase_scan` computes the moments of
 each phase once, for both the support and the exact variance, and
 consecutive phases with equal supports (every n_max = 1 state has [-6, 6])
 share one grid and its list of psi blocks, (n_max+1) x 2^16 doubles.  The
-arithmetic per block is the same either way.
+arithmetic per block is the same either way.  The kernels rotate the
+matrix and never build a state: rho~ is read, not checked again.
 
 Sampling inverts a trapezoid-tabulated CDF on a 2^16-point grid over
 [-w, w], w = max(6, |mean| + 6.5 sqrt(variance)) from the exact moments of
@@ -108,7 +109,7 @@ def _marginal(rho: np.ndarray, blocks, size: int) -> np.ndarray:
 def marginal_density(state: fock.FockDensity, phi_lo: float):
     """Probability density of X_phi_lo as a callable of x (scalar or array)."""
     # Im rho is antisymmetric for Hermitian rho, so only Re rho contributes
-    rho = fock.rotate_phase(state, phi_lo).matrix.real
+    rho = fock._rotated(state.matrix, phi_lo).real
     n_max = rho.shape[0] - 1
 
     def density(x):
@@ -128,7 +129,7 @@ def _half_width(stats: fock.QuadratureStats) -> float:
 
 def _tabulate(state: fock.FockDensity, phi_lo: float, xs: np.ndarray, blocks) -> np.ndarray:
     """Normalised trapezoid CDF of X_phi_lo on xs, from the psi `blocks` of xs."""
-    rho = fock.rotate_phase(state, phi_lo).matrix.real
+    rho = fock._rotated(state.matrix, phi_lo).real
     p = _marginal(rho, blocks, xs.size)
     if not (np.min(p) >= DENSITY_FLOOR):
         raise InvalidState(f"marginal density reaches {float(np.min(p))!r} < {DENSITY_FLOOR}")

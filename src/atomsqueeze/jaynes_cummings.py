@@ -45,7 +45,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .errors import InvalidParameter, InvalidState, NotSupported, require_finite, require_in, require_int
+from .errors import InvalidParameter, InvalidState, NotSupported, _shown, require_finite, require_in, require_int
 from .superposition import SuperpositionSpec
 
 NUMERIC_N_MAX = 4  # field truncation for the integrator; exact support is n <= 1
@@ -127,7 +127,8 @@ def _require_resonant(params: JCParams, t: float = 0.0):
     """Reject detuned parameters and a time t that is not finite and >= 0."""
     if not params.resonant:
         raise NotSupported(
-            f"only resonant evolution is implemented (omega={params.omega!r} != omega0={params.omega0!r})"
+            "only resonant evolution is implemented"
+            f" (omega={_shown(params.omega)} != omega0={_shown(params.omega0)})"
         )
     require_in("time", t, 0)
 

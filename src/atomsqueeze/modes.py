@@ -38,7 +38,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock, superposition
-from .errors import InvalidParameter, InvalidState, require_in
+from .errors import InvalidParameter, InvalidState, _shown, require_in
 
 # Wigner-Weisskopf lifetimes, seconds; presets are data, not code
 EMITTER_PRESETS = {
@@ -84,8 +84,8 @@ class EmitterParams:
     @classmethod
     def from_lifetime(cls, tau: float) -> "EmitterParams":
         require_in("lifetime", tau, 0, open_lo=True)
-        if not math.isfinite(1.0 / tau):  # the smallest subnormal lifetimes have no finite rate
-            raise InvalidParameter(f"lifetime {tau!r} is too small: 1/lifetime overflows")
+        if not math.isfinite(1.0 / float(tau)):  # the smallest subnormal lifetimes have no finite rate
+            raise InvalidParameter(f"lifetime {_shown(tau)} is too small: 1/lifetime overflows")
         return cls(lifetime_tau=tau, gamma_rate=1.0 / tau, linewidth_hz=1.0 / (2.0 * math.pi * tau))
 
     @classmethod
@@ -182,7 +182,7 @@ def linewidth_check(emitter: EmitterParams, claimed_hz: float | None = None, rel
     # an infinite claim or tolerance would pass as inf <= inf, so both must be finite
     require_in("claimed_hz", claimed_hz, 0, open_lo=True)
     require_in("rel_tol", rel_tol, 0, open_lo=True)
-    return computed, abs(computed - claimed_hz) <= rel_tol * claimed_hz
+    return computed, bool(abs(computed - claimed_hz) <= rel_tol * claimed_hz)
 
 
 def lo_linewidth_requirement(emitter: EmitterParams, ratio: float) -> float:
@@ -213,7 +213,7 @@ class EfficiencyBudget:
         if not (abs(self.detected_variance - expected) <= 1e-12):
             raise InvalidState("detected variance violates V -> eta V + (1 - eta)/4")
         if not math.isfinite(self.detected_db):
-            raise InvalidState(f"detected_db must be finite, got {self.detected_db!r}")
+            raise InvalidState(f"detected_db must be finite, got {_shown(self.detected_db)}")
 
 
 def detected_squeezing(

@@ -30,7 +30,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .errors import InvalidParameter, InvalidState, require_finite, require_int
+from .errors import InvalidParameter, InvalidState, _shown, require_finite, require_int
 
 WIGNER_BOUND = 2.0 / math.pi
 MIN_RESOLUTION = 16
@@ -120,7 +120,7 @@ def wigner_of_state(
         if not (abs(lo) <= end and abs(hi) <= end and hi - lo >= MIN_RANGE_WIDTH):
             raise InvalidParameter(
                 f"axis range must lie within +-{end:.4g} (at n_max = {state.n_max}) and span at least"
-                f" {MIN_RANGE_WIDTH} quadrature units, got ({lo!r}, {hi!r})"
+                f" {MIN_RANGE_WIDTH} quadrature units, got ({_shown(lo)}, {_shown(hi)})"
             )
     x1 = np.linspace(x1_range[0], x1_range[1], resolution)
     x2 = np.linspace(x2_range[0], x2_range[1], resolution)

@@ -488,6 +488,22 @@ def test_window_sweep_bound_out_of_domain_exits_2_naming_the_flag(flag, value, c
     assert captured.err == f"error: parameter: {flag} must be finite and > 0, got {float(value)!r}\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    ("flag", "bounds"),
+    [("max-lifetimes", ["--max-lifetimes", "1e300"]),
+     ("min-lifetimes", ["--min-lifetimes", "1e300", "--max-lifetimes", "1"])],
+)
+def test_window_sweep_bound_whose_window_overflows_exits_2_naming_the_flag(flag, bounds, capsys):
+    # each bound is finite, but times a 1e291 s lifetime it is not: the window
+    # in seconds is checked before the grid is scaled, under the flag's name
+    argv = ["window-sweep", "--collection", "0.5", "--lifetime-ns", "1e300", *bounds]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: parameter: {flag} x lifetime must be finite, got inf\n"
+
+
 def test_unsupported_regime_exits_2(monkeypatch, capsys):
     def unsupported(params, explicit):
         raise NotSupported("detuned evolution")

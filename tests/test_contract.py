@@ -1,8 +1,9 @@
 """The library's non-finite-input and integer contracts.
 
 Every callable in `atomsqueeze.__all__` is called once for each of its
-`float`-annotated parameters set to NaN, +inf, -inf, 1e300 and -1e300, with
-every other parameter valid and a numpy RuntimeWarning raised as an error.
+`float`-annotated parameters set to NaN, +inf, -inf, 1e300 and -1e300, each
+as a Python float and as np.float64, with every other parameter valid and a
+numpy RuntimeWarning raised as an error.
 Each call must raise an AtomSqueezeError subclass or return only finite
 numbers, dataclass fields included.  Each `int`-annotated parameter is set
 in turn to a non-integral float, -1 and True, and each such call must raise
@@ -25,6 +26,7 @@ from atomsqueeze import AtomSqueezeError, fock, modes, superposition, wigner
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
 BAD_FLOATS = (math.nan, math.inf, -math.inf, 1e300, -1e300)
+BAD_FLOATS += tuple(np.float64(v) for v in BAD_FLOATS)  # a numpy scalar must meet the same guards
 BAD_INTS = (1000.5, -1, True)
 
 _SPEC = superposition.SuperpositionSpec(beta_abs=0.5, rel_phase=0.3)

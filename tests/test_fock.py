@@ -251,6 +251,17 @@ def test_rotate_phase_preserves_populations():
     assert np.allclose(np.diag(out.matrix), np.diag(rho.matrix), atol=1e-14)
 
 
+@pytest.mark.parametrize("n_max", [1, 20, 52, 100])
+def test_rotated_matrix_passes_every_density_check(n_max):
+    # the homodyne kernels read _rotated without building a state; the rotation
+    # is unitary, so the matrix it returns must pass every FockDensity check
+    rng = np.random.default_rng(SEED + 5)
+    for _ in range(3):
+        rho, _, _ = random_mixture(rng, n_max)
+        for phi in (0.0, math.pi / 2.0, -2.7, 2.0 * math.pi - 1e-9):
+            fock.FockDensity(fock._rotated(rho.matrix, phi))
+
+
 def _dense_trace_stats(rho: np.ndarray, phi: float) -> tuple[float, float]:
     """(mean, variance) as Tr(rho X) and Tr(rho X^2) - mean^2, rho padded by one level."""
     dim = rho.shape[0]

@@ -228,6 +228,26 @@ def test_marginal_density_names_a_non_finite_x(x):
         density(x)
 
 
+def test_kernels_build_only_the_lossy_state(monkeypatch):
+    # the kernels rotate the bare matrix, so the one FockDensity a run builds
+    # is the state behind the loss channel, and none at eta = 1
+    builds = []
+    post_init = fock.FockDensity.__post_init__
+
+    def counted(self):
+        builds.append(self)
+        post_init(self)
+
+    monkeypatch.setattr(fock.FockDensity, "__post_init__", counted)
+    for eta, expected in ((0.8, 1), (1.0, 0)):
+        builds.clear()
+        homodyne.phase_scan(ONE_THIRD, eta, 400, 5, 32)
+        assert len(builds) == expected
+    builds.clear()
+    homodyne.sample_quadratures(HomodyneRun(state=ONE_THIRD, phi_lo=0.3, eta_total=0.8, n_samples=1000, seed=3))
+    assert len(builds) == 1
+
+
 def test_tabulate_rejects_a_marginal_below_the_density_floor():
     # psi = a|0> + b|1> with a = -2 b x0 has a marginal node at x0, a grid
     # point; mixing in -eps |phi><phi|, phi orthogonal to psi, stays within

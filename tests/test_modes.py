@@ -55,10 +55,12 @@ def test_emitter_rejects_a_non_finite_lifetime_built_directly(tau):
 
 
 def test_emitter_rejects_a_lifetime_whose_rate_overflows():
-    # 1e-309 s is subnormal and 1 / 1e-309 is inf: the error names the lifetime
-    with pytest.raises(InvalidParameter, match="lifetime 1e-309") as err:
-        EmitterParams.from_lifetime(1e-309)
-    assert "gamma_rate" not in str(err.value)
+    # 1e-309 s is subnormal and 1 / 1e-309 is inf: the error names the lifetime,
+    # and a numpy scalar reads as the same number, with no numpy overflow warning
+    for tau in (1e-309, np.float64(1e-309)):
+        with pytest.raises(InvalidParameter, match="lifetime 1e-309") as err:
+            EmitterParams.from_lifetime(tau)
+        assert "gamma_rate" not in str(err.value)
     # 1e-308 s is subnormal too, but its rate is finite and consistent
     assert EmitterParams.from_lifetime(1e-308).gamma_rate == 1e308
 
