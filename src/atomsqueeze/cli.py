@@ -216,11 +216,7 @@ def resolve_params(command: str, config_values: dict[str, str], cli_values: dict
 
 
 def _fmt(v) -> str:
-    if isinstance(v, float):  # first: bool is no float, so a float cell takes one test
-        return repr(v)
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return str(v)
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 def _jsonable(v):
@@ -312,6 +308,7 @@ def _emitter(params: dict, explicit: set) -> modes.EmitterParams:
         if "lifetime-ns" in explicit:
             raise InvalidParameter("give either a preset or an explicit lifetime, not both")
         return modes.EmitterParams.from_preset(params["preset"])
+    require_in("lifetime-ns", params["lifetime-ns"], 0, open_lo=True)
     return modes.EmitterParams.from_lifetime(params["lifetime-ns"] * 1e-9)
 
 
@@ -451,7 +448,10 @@ def _run_window_sweep(params: dict, explicit: set) -> CommandOutput:
     for name in ("min-lifetimes", "max-lifetimes"):
         require_in(name, params[name], 0, open_lo=True)
         require_finite(f"{name} x lifetime", params[name] * emitter.lifetime_tau)
-    grid = np.linspace(params["min-lifetimes"], params["max-lifetimes"], params["steps"])
+    lo, hi = params["min-lifetimes"], params["max-lifetimes"]
+    if not lo < hi:
+        raise InvalidParameter(f"min-lifetimes must be < max-lifetimes, got {lo!r} and {hi!r}")
+    grid = np.linspace(lo, hi, params["steps"])
     rows = modes.window_tradeoff(
         spec, params["collection"], emitter, grid * emitter.lifetime_tau, params["detector"]
     )

@@ -218,6 +218,7 @@ def loss_kraus_operators(n_max: int, eta: float) -> list[np.ndarray]:
     k = 0 .. n_max photons lost.  apply_loss does not build them: the tests
     keep sum_k K_k rho K_k^dag as the oracle for its band sum.
     """
+    require_int("n_max", n_max, 1)
     return [np.diag(s, k).astype(complex) for k, s in enumerate(_loss_weights(n_max, eta))]
 
 

@@ -303,9 +303,9 @@ def phase_scan(
     (phi_lo, var_hat, db_hat, std_error, var_exact, db_exact).
     """
     require_int("n_phases", n_phases, 4)
-    lossy = detected_state(state, eta_total)
-    # validates eta/n/seed once; per-phase draws reuse the lossy state
-    HomodyneRun(state=state, phi_lo=0.0, eta_total=eta_total, n_samples=n_samples, seed=seed)
+    lossy = detected_state(state, eta_total)  # rejects a bad eta; every phase reuses the lossy state
+    require_int("n_samples", n_samples, 100)
+    require_int("seed", seed, 0)
     streams = np.random.SeedSequence(seed).spawn(n_phases)
     # consecutive phases with equal supports (every n_max = 1 state has
     # [-6, 6]) share one grid and its psi blocks

@@ -504,6 +504,42 @@ def test_window_sweep_bound_whose_window_overflows_exits_2_naming_the_flag(flag,
     assert captured.err == f"error: parameter: {flag} x lifetime must be finite, got inf\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(("lo", "hi"), [("5", "1"), ("1", "1")])
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_window_sweep_bounds_out_of_order_exit_2_naming_both_flags(lo, hi, source, tmp_path, capsys):
+    if source == "flags":
+        argv = ["window-sweep", "--collection", "0.5", "--min-lifetimes", lo, "--max-lifetimes", hi]
+    else:
+        cfg = tmp_path / "bounds.cfg"
+        cfg.write_text(f"collection = 0.5\nmin-lifetimes = {lo}\nmax-lifetimes = {hi}\n")
+        argv = ["window-sweep", "--config", str(cfg)]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: parameter: min-lifetimes must be < max-lifetimes, got {float(lo)!r} and {float(hi)!r}\n"
+    )
+
+
+@pytest.mark.parametrize("command", ["budget", "window-sweep"])
+@pytest.mark.parametrize("value", ["-5", "0", "inf"])
+def test_lifetime_ns_out_of_domain_exits_2_naming_the_flag(command, value, capsys):
+    # the message names the flag and the nanoseconds typed, not the lifetime in seconds
+    assert cli.main([command, "--collection", "0.5", f"--lifetime-ns={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: parameter: lifetime-ns must be finite and > 0, got {float(value)!r}\n"
+
+
+@pytest.mark.parametrize("value", ["0", "-1", "-inf"])
+def test_budget_non_positive_window_exits_2(value, capsys):
+    assert cli.main(["budget", "--collection", "0.5", f"--window-lifetimes={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: parameter: window-lifetimes must be > 0, got {float(value)!r}\n"
+
+
 def test_unsupported_regime_exits_2(monkeypatch, capsys):
     def unsupported(params, explicit):
         raise NotSupported("detuned evolution")

@@ -1,9 +1,11 @@
 """The library's non-finite-input and integer contracts.
 
-Every callable in `atomsqueeze.__all__` is called once for each of its
-`float`-annotated parameters set to NaN, +inf, -inf, 1e300 and -1e300, each
-as a Python float and as np.float64, with every other parameter valid and a
-numpy RuntimeWarning raised as an error.
+Every callable in `atomsqueeze.__all__`, and every function of a library
+module that is public by name (no leading underscore) though not exported,
+is called once for each of its `float`-annotated parameters set to NaN,
++inf, -inf, 1e300 and -1e300, each as a Python float and as np.float64,
+with every other parameter valid and a numpy RuntimeWarning raised as an
+error.
 Each call must raise an AtomSqueezeError subclass or return only finite
 numbers, dataclass fields included.  Each `int`-annotated parameter is set
 in turn to a non-integral float, -1 and True, and each such call must raise
@@ -21,7 +23,7 @@ import numpy as np
 import pytest
 
 import atomsqueeze
-from atomsqueeze import AtomSqueezeError, fock, modes, superposition, wigner
+from atomsqueeze import AtomSqueezeError, fock, homodyne, jaynes_cummings, modes, superposition, wigner
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -37,6 +39,7 @@ _GRID = wigner.wigner_of_state(_STATE, resolution=41)
 # One valid value per parameter name of the callables under test; a name missing
 # here fails its cases with a KeyError.  Sizes stay small and are never varied.
 VALID = {
+    "amplitude_rate": 0.5,
     "beta_abs": 0.5,
     "claimed_hz": _EMITTER.linewidth_hz,
     "commutator_expectation": -0.5,
@@ -57,6 +60,7 @@ VALID = {
     "grid": _GRID,
     "input_variance": 0.1875,
     "integral": _GRID.integral,
+    "lam_t": 0.7,
     "lifetime_tau": _EMITTER.lifetime_tau,
     "linewidth_hz": _EMITTER.linewidth_hz,
     "lo": modes.lo_mode(_EMITTER.gamma_rate, 5.0 * _EMITTER.lifetime_tau),
@@ -97,12 +101,23 @@ VALID = {
     "variance": 0.25,
     "window": 2.0,
     "windows": np.array([1e-7, 2e-7]),
+    "x": np.linspace(-1.0, 1.0, 5),
     "x1": _GRID.x1,
     "x1_range": (-4.0, 4.0),
     "x2": _GRID.x2,
     "x2_range": (-4.0, 4.0),
     "xi": 0.5,
 }
+
+
+# the exported names, then each library module's public-by-name functions left out of __all__
+CALLABLES = {name: getattr(atomsqueeze, name) for name in atomsqueeze.__all__}
+for _module in (fock, homodyne, jaynes_cummings, modes, superposition, wigner):
+    CALLABLES.update(
+        (name, obj) for name, obj in vars(_module).items()
+        if inspect.isfunction(obj) and obj.__module__ == _module.__name__
+        and not name.startswith("_") and name not in _module.__all__
+    )
 
 
 def _is_float(annotation) -> bool:
@@ -113,8 +128,7 @@ def _is_float(annotation) -> bool:
 
 
 def _cases():
-    for name in atomsqueeze.__all__:
-        obj = getattr(atomsqueeze, name)
+    for name, obj in CALLABLES.items():
         if not callable(obj) or (isinstance(obj, type) and issubclass(obj, BaseException)):
             continue
         for param in inspect.signature(obj).parameters.values():
@@ -152,7 +166,7 @@ def _non_finite(value, path: str = "result"):
 
 @pytest.mark.parametrize(("name", "param", "bad"), list(_cases()))
 def test_non_finite_input_raises_or_returns_finite(name, param, bad):
-    func = getattr(atomsqueeze, name)
+    func = CALLABLES[name]
     kwargs = {p: VALID[p] for p in inspect.signature(func).parameters}
     kwargs[param] = bad
     try:

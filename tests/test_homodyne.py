@@ -511,6 +511,24 @@ def test_phase_scan_validation():
         homodyne.phase_scan(ONE_THIRD, 1.0, 400, 5, 3)
     with pytest.raises(InvalidParameter):
         homodyne.phase_scan(ONE_THIRD, 1.5, 400, 5, 8)
+    with pytest.raises(InvalidParameter, match="n_samples must be an integer >= 100"):
+        homodyne.phase_scan(ONE_THIRD, 1.0, 99, 5, 8)
+    with pytest.raises(InvalidParameter, match="seed must be an integer >= 0"):
+        homodyne.phase_scan(ONE_THIRD, 1.0, 400, -1, 8)
+
+
+def test_phase_scan_builds_no_homodyne_run(monkeypatch):
+    # the scan checks its own inputs; a HomodyneRun is one Monte Carlo run's record
+    built = []
+    check = homodyne.HomodyneRun.__post_init__
+
+    def counted(self):
+        built.append(self)
+        check(self)
+
+    monkeypatch.setattr(homodyne.HomodyneRun, "__post_init__", counted)
+    homodyne.phase_scan(ONE_THIRD, 0.8, 400, 5, 32)
+    assert built == []
 
 
 def _phase_scan_oracle(state, eta_total, n_samples, seed, n_phases):

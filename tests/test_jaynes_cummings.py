@@ -84,6 +84,7 @@ def test_evolve_resonant_amplitudes():
     assert abs(state.amp_e[1]) == 0.0
     assert abs(state.amp_g[0] - s * np.exp(1j * phi)) < 1e-14
     assert abs(state.amp_g[1] - (-1j) * c * math.sin(lt) * rot) < 1e-14
+    assert state.n_max == 1
 
 
 def test_evolve_resonant_rejects_negative_time():
