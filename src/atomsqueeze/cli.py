@@ -408,10 +408,13 @@ def _run_budget(params: dict, explicit: set) -> CommandOutput:
     window = params["window-lifetimes"]
     if window != math.inf and window <= 0.0:
         raise InvalidParameter(f"window-lifetimes must be > 0, got {window!r}")
-    lo = modes.exponential_mode(
-        params["lo-rate-factor"] * emitter.gamma_rate / 2.0,
-        window * emitter.lifetime_tau,
-    )
+    # each product is checked under its flag's name, as it over- or underflows without a warning
+    require_in("lo-rate-factor", params["lo-rate-factor"], 0, open_lo=True)
+    rate = params["lo-rate-factor"] * emitter.gamma_rate / 2.0
+    require_in("lo-rate-factor x gamma/2", rate, 0, open_lo=True)
+    if window != math.inf:
+        require_in("window-lifetimes x lifetime", window * emitter.lifetime_tau, 0, open_lo=True)
+    lo = modes.exponential_mode(rate, window * emitter.lifetime_tau)
     budget = modes.detected_squeezing(
         spec,
         params["collection"],

@@ -175,13 +175,17 @@ class VarianceEstimate:
     mean_hat: float
     var_hat: float
     std_error_of_var: float
-    std_error_normal_theory: float
 
     def __post_init__(self):
         require_int("n", self.n, 2)
         require_in("var_hat", self.var_hat, 0, open_lo=True)
-        for name in ("mean_hat", "std_error_of_var", "std_error_normal_theory"):
+        for name in ("mean_hat", "std_error_of_var", "std_error_normal_theory"):  # var_hat^2 overflows above ~1.3e154
             require_finite(name, getattr(self, name))
+
+    @property
+    def std_error_normal_theory(self) -> float:
+        v = float(self.var_hat)  # as a Python float, an overflow is inf without a numpy warning
+        return math.sqrt(2.0 * v * v / self.n)
 
 
 def detected_state(state: fock.FockDensity, eta_total: float) -> fock.FockDensity:
@@ -270,7 +274,6 @@ def estimate_variance(samples: np.ndarray) -> VarianceEstimate:
         mean_hat=mean,
         var_hat=var,
         std_error_of_var=math.sqrt(max(0.0, se2)),
-        std_error_normal_theory=math.sqrt(2.0 * var * var / n),
     )
 
 

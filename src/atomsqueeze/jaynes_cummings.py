@@ -116,11 +116,14 @@ class DipoleCheck:
 
     commutator_expectation: float
     normally_ordered_var_d1: float
-    field_squeezing_predicted: bool
 
     def __post_init__(self):
         if not (math.isfinite(self.commutator_expectation) and math.isfinite(self.normally_ordered_var_d1)):
             raise InvalidState(f"dipole criterion figures must be finite, got {self!r}")
+
+    @property
+    def field_squeezing_predicted(self) -> bool:
+        return self.commutator_expectation < -PREDICTION_GUARD and self.normally_ordered_var_d1 < -PREDICTION_GUARD
 
 
 def _require_resonant(params: JCParams, t: float = 0.0):
@@ -260,8 +263,7 @@ def dipole_squeezing_check(prep: AtomPrep) -> DipoleCheck:
     s2 = math.sin(prep.theta / 2.0) ** 2
     commutator = c2 - s2
     nvar = c2 / 2.0 - s2 * c2 * math.cos(prep.phi) ** 2
-    predicted = commutator < -PREDICTION_GUARD and nvar < -PREDICTION_GUARD
-    return DipoleCheck(commutator, nvar, predicted)
+    return DipoleCheck(commutator, nvar)
 
 
 def field_superposition_at_quarter_period(prep: AtomPrep) -> tuple[SuperpositionSpec, float]:

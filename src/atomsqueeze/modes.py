@@ -17,7 +17,7 @@ quadrature variance maps as V -> eta_total V + (1 - eta_total)/4.
 
 A TemporalMode is checked once, when it is built; the closed forms read its
 normalisation A = 1/sqrt(integral of e^{-2 rate t} over [0, window]) and
-never sample the envelope.
+never sample the envelope.  Each record stores its inputs and derives the rest.
 """
 
 __all__ = [
@@ -65,25 +65,26 @@ def _decay_integral(rate: float, window: float) -> float:
 
 @dataclass(frozen=True)
 class EmitterParams:
-    """Lifetime tau with the derived decay rate 1/tau and linewidth 1/(2 pi tau)."""
+    """Lifetime tau, with the decay rate 1/tau and linewidth 1/(2 pi tau) derived from it."""
 
     lifetime_tau: float
-    gamma_rate: float
-    linewidth_hz: float
 
     def __post_init__(self):
         require_in("lifetime", self.lifetime_tau, 0, open_lo=True)
-        if not (abs(self.gamma_rate * self.lifetime_tau - 1.0) <= 1e-12):
-            raise InvalidParameter("gamma_rate is not 1/lifetime within 1e-12")
-        if not (abs(self.linewidth_hz * 2.0 * math.pi * self.lifetime_tau - 1.0) <= 1e-12):
-            raise InvalidParameter("linewidth_hz is not 1/(2 pi lifetime) within 1e-12")
+        if not math.isfinite(1.0 / float(self.lifetime_tau)):  # the smallest subnormal lifetimes have no finite rate
+            raise InvalidParameter(f"lifetime {_shown(self.lifetime_tau)} is too small: 1/lifetime overflows")
+
+    @property
+    def gamma_rate(self) -> float:
+        return 1.0 / self.lifetime_tau
+
+    @property
+    def linewidth_hz(self) -> float:
+        return 1.0 / (2.0 * math.pi * self.lifetime_tau)
 
     @classmethod
     def from_lifetime(cls, tau: float) -> "EmitterParams":
-        require_in("lifetime", tau, 0, open_lo=True)
-        if not math.isfinite(1.0 / float(tau)):  # the smallest subnormal lifetimes have no finite rate
-            raise InvalidParameter(f"lifetime {_shown(tau)} is too small: 1/lifetime overflows")
-        return cls(lifetime_tau=tau, gamma_rate=1.0 / tau, linewidth_hz=1.0 / (2.0 * math.pi * tau))
+        return cls(lifetime_tau=tau)
 
     @classmethod
     def from_preset(cls, name: str) -> "EmitterParams":
@@ -100,23 +101,22 @@ class TemporalMode:
     window is infinite for the emitted mode, finite for a truncated LO.
     """
 
-    shape: str
     rate: float
-    window: float
+    window: float = math.inf
 
     def __post_init__(self):
-        if self.shape not in (EXPONENTIAL, TRUNCATED_EXPONENTIAL):
-            raise InvalidParameter(f"unknown mode shape {self.shape!r}")
         require_in("amplitude decay rate", self.rate, 0, open_lo=True)
-        if self.shape == TRUNCATED_EXPONENTIAL:
+        if self.window != math.inf:
             require_in("window", self.window, 0, open_lo=True)
-        elif not (self.window == math.inf):
-            raise InvalidParameter("an untruncated exponential mode has window = inf")
         a = self._front
         # A (A I), not A^2 I: for a subnormal window A^2 overflows while A I does not
         norm = a * (a * _decay_integral(2.0 * self.rate, self.window))
         if not (abs(norm - 1.0) <= 1e-10):
             raise InvalidState(f"mode L2 norm is {norm!r}, not 1 within 1e-10")
+
+    @property
+    def shape(self) -> str:
+        return EXPONENTIAL if self.window == math.inf else TRUNCATED_EXPONENTIAL
 
     @property
     def _front(self) -> float:
@@ -136,8 +136,7 @@ class TemporalMode:
 
 def exponential_mode(amplitude_rate: float, window: float = math.inf) -> TemporalMode:
     """Exponential envelope by amplitude decay rate, truncated iff window is finite."""
-    shape = EXPONENTIAL if math.isinf(window) else TRUNCATED_EXPONENTIAL
-    return TemporalMode(shape=shape, rate=amplitude_rate, window=window)
+    return TemporalMode(rate=amplitude_rate, window=window)
 
 
 def emitted_mode(gamma: float) -> TemporalMode:
@@ -188,27 +187,33 @@ def lo_linewidth_requirement(emitter: EmitterParams, ratio: float) -> float:
 
 @dataclass(frozen=True)
 class EfficiencyBudget:
-    """Detection budget: partial efficiencies, their product, and the outcome."""
+    """Detection budget: partial efficiencies and source variance; their product and the outcome derive."""
 
     preset: str
     eta_collection: float
     eta_overlap: float
     eta_detector: float
-    eta_total: float
     input_variance: float
-    detected_variance: float
-    detected_db: float
 
     def __post_init__(self):
-        for name in ("eta_collection", "eta_overlap", "eta_detector", "eta_total"):
+        for name in ("eta_collection", "eta_overlap", "eta_detector"):
             require_in(name, getattr(self, name), 0, 1)
-        if not (abs(self.eta_total - self.eta_collection * self.eta_overlap * self.eta_detector) <= 1e-12):
-            raise InvalidState("eta_total is not the product of its factors")
-        expected = self.eta_total * self.input_variance + (1.0 - self.eta_total) * fock.VACUUM_VARIANCE
-        if not (abs(self.detected_variance - expected) <= 1e-12):
-            raise InvalidState("detected variance violates V -> eta V + (1 - eta)/4")
-        if not math.isfinite(self.detected_db):
-            raise InvalidState(f"detected_db must be finite, got {_shown(self.detected_db)}")
+        # with every eta in [0, 1], a finite positive variance keeps every derived value finite and > 0
+        if not (0.0 < self.input_variance < math.inf):
+            raise InvalidState(f"input variance must be finite and > 0, got {_shown(self.input_variance)}")
+
+    @property
+    def eta_total(self) -> float:
+        return self.eta_collection * self.eta_overlap * self.eta_detector
+
+    @property
+    def detected_variance(self) -> float:
+        eta = self.eta_total
+        return eta * self.input_variance + (1.0 - eta) * fock.VACUUM_VARIANCE
+
+    @property
+    def detected_db(self) -> float:
+        return fock.variance_to_db(self.detected_variance)
 
 
 def detected_squeezing(
@@ -220,22 +225,12 @@ def detected_squeezing(
     preset: str = "custom",
 ) -> EfficiencyBudget:
     """Squeezing of the source state at the detector, LO phased to the minimum variance."""
-    require_in("eta_collection", eta_collection, 0, 1)
-    require_in("eta_detector", eta_detector, 0, 1)
-    eta_overlap = mode_overlap(emitted, lo)
-    eta_total = eta_collection * eta_overlap * eta_detector
-    v_source = superposition.min_variance(source)
-    v_detected = eta_total * v_source + (1.0 - eta_total) * fock.VACUUM_VARIANCE
-
     return EfficiencyBudget(
         preset=preset,
         eta_collection=eta_collection,
-        eta_overlap=eta_overlap,
+        eta_overlap=mode_overlap(emitted, lo),
         eta_detector=eta_detector,
-        eta_total=eta_total,
-        input_variance=v_source,
-        detected_variance=v_detected,
-        detected_db=fock.variance_to_db(v_detected),
+        input_variance=superposition.min_variance(source),
     )
 
 

@@ -540,6 +540,36 @@ def test_budget_non_positive_window_exits_2(value, capsys):
     assert captured.err == f"error: parameter: window-lifetimes must be > 0, got {float(value)!r}\n"
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    ("value", "message"),
+    [("-1", "lo-rate-factor must be finite and > 0, got -1.0"),
+     ("0", "lo-rate-factor must be finite and > 0, got 0.0"),
+     ("inf", "lo-rate-factor must be finite and > 0, got inf"),
+     ("1e303", "lo-rate-factor x gamma/2 must be finite and > 0, got inf")],
+)
+def test_budget_lo_rate_factor_out_of_domain_exits_2_naming_the_flag(value, message, capsys):
+    # 1e303 is finite, but times gamma/2 = 2.2e6 /s it is not: the LO rate is checked under the flag
+    assert cli.main(["budget", "--collection", "0.5", f"--lo-rate-factor={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: parameter: {message}\n"
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    ("lifetime_ns", "window", "got"),
+    [("1e-290", "1e-30", "0.0"), ("1e300", "1e300", "inf")],
+)
+def test_budget_window_whose_seconds_leave_the_range_exits_2_naming_the_flag(lifetime_ns, window, got, capsys):
+    # each flag is in range, but the window in seconds under- or overflows
+    argv = ["budget", "--collection", "0.5", "--lifetime-ns", lifetime_ns, "--window-lifetimes", window]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: parameter: window-lifetimes x lifetime must be finite and > 0, got {got}\n"
+
+
 def test_unsupported_regime_exits_2(monkeypatch, capsys):
     def unsupported(params, explicit):
         raise NotSupported("detuned evolution")

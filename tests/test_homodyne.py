@@ -272,9 +272,17 @@ def test_tabulate_rejects_a_grid_that_misses_mass():
 
 def test_variance_estimate_requires_positive_variance():
     with pytest.raises(InvalidParameter):
-        VarianceEstimate(
-            n=5, mean_hat=0.0, var_hat=0.0, std_error_of_var=0.1, std_error_normal_theory=0.1
-        )
+        VarianceEstimate(n=5, mean_hat=0.0, var_hat=0.0, std_error_of_var=0.1)
+
+
+def test_variance_estimate_derives_its_normal_theory_error():
+    # sqrt(2 s^4 / n) = sqrt(2 * 4 / 8) = 1, exactly
+    est = VarianceEstimate(n=8, mean_hat=0.0, var_hat=2.0, std_error_of_var=0.1)
+    assert est.std_error_normal_theory == 1.0
+    # s^4 overflows, as a Python float: an error naming the figure, not a numpy warning
+    for var_hat in (1e300, np.float64(1e300)):
+        with pytest.raises(InvalidParameter, match="std_error_normal_theory must be finite, got inf"):
+            VarianceEstimate(n=8, mean_hat=0.0, var_hat=var_hat, std_error_of_var=0.1)
 
 
 # ----------------------------------------------------------------- estimators

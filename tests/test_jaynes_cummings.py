@@ -280,6 +280,14 @@ def test_dipole_check_negative_cases():
     assert not check.field_squeezing_predicted
 
 
+def test_dipole_check_derives_its_prediction():
+    # a hand-built record cannot claim a prediction its figures contradict
+    assert jc.DipoleCheck(0.5, 0.5).field_squeezing_predicted is False
+    assert jc.DipoleCheck(-0.5, -0.1).field_squeezing_predicted is True
+    # each figure must clear the round-off guard, not merely be negative
+    assert jc.DipoleCheck(-0.5, -jc.PREDICTION_GUARD).field_squeezing_predicted is False
+
+
 def test_dipole_check_boundary_is_not_a_prediction():
     # theta a hair past pi: the formal dip is ~1e-32, unresolvable against 1/4
     theta = float(np.linspace(0.0, 2.0 * math.pi, 50, endpoint=False)[25])
