@@ -9,6 +9,10 @@ repeated runs of the same invocation once the timestamp line is stripped.
 
 Exit codes: 0 success, 2 parameter/usage error, 3 numeric or physical
 failure, 4 I/O failure.
+
+Each handler imports the modules it computes with when it runs, so a
+command loads only what it uses: `variance` with JSON output, and `budget`,
+run without numpy.
 """
 
 import argparse
@@ -19,9 +23,8 @@ import sys
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
-import numpy as np
-
-from . import __version__, fock, homodyne, jaynes_cummings, modes, superposition, wigner
+from . import __version__
+from .closed_forms import SuperpositionSpec, min_variance, quadrature_variances, squeezing_region, variance_to_db
 from .errors import DegenerateData, InvalidParameter, InvalidState, NotSupported
 from .errors import require_finite, require_in, require_int
 
@@ -142,7 +145,7 @@ class CommandOutput:
 
     n_max: int
     result: dict
-    columns: dict[str, np.ndarray] | None = None
+    columns: dict[str, "np.ndarray"] | None = None
     extra_meta: dict = field(default_factory=dict)
 
 
@@ -221,15 +224,21 @@ def _fmt(v) -> str:
 
 def _jsonable(v):
     """v as JSON values, every non-finite float at any depth replaced by its repr."""
-    if isinstance(v, np.ndarray):
-        v = v.tolist()
-    if isinstance(v, float) and not math.isfinite(v):
-        return repr(v)
-    if isinstance(v, dict):
-        return {k: _jsonable(x) for k, x in v.items()}
-    if isinstance(v, (list, tuple)):
-        return [_jsonable(x) for x in v]
-    return v
+    # a result holds arrays only if numpy is loaded; otherwise isinstance(v, ()) is always False
+    arrays = getattr(sys.modules.get("numpy"), "ndarray", ())
+
+    def clean(v):
+        if isinstance(v, arrays):
+            v = v.tolist()
+        if isinstance(v, float) and not math.isfinite(v):
+            return repr(v)
+        if isinstance(v, dict):
+            return {k: clean(x) for k, x in v.items()}
+        if isinstance(v, (list, tuple)):
+            return [clean(x) for x in v]
+        return v
+
+    return clean(v)
 
 
 def _meta(command: str, params: dict, out: CommandOutput) -> dict:
@@ -241,8 +250,10 @@ def _meta(command: str, params: dict, out: CommandOutput) -> dict:
         "n_max": out.n_max,
     }
     if command in STOCHASTIC:
+        from .homodyne import GENERATOR_ID  # loaded already by the stochastic handler
+
         meta["seed"] = params["seed"]
-        meta["rng"] = homodyne.GENERATOR_ID
+        meta["rng"] = GENERATOR_ID
     meta.update(out.extra_meta)
     meta["timestamp"] = datetime.now(timezone.utc).isoformat()
     return meta
@@ -251,7 +262,7 @@ def _meta(command: str, params: dict, out: CommandOutput) -> dict:
 _BOOL_TEXT = {True: "true", False: "false"}
 
 
-def _cells(col: np.ndarray):
+def _cells(col: "np.ndarray"):
     """The text of a 1-D column, one formatter chosen from its dtype: floats
     by repr, bools as true/false, ints by str.  str and object columns hold
     their cells' text already."""
@@ -272,7 +283,7 @@ def _json_text(meta: dict, result: dict, fh) -> None:
     fh.write(json.dumps(_jsonable({"meta": meta, "result": result}), indent=2) + "\n")
 
 
-def _csv_text(meta: dict, columns: dict[str, np.ndarray], fh) -> None:
+def _csv_text(meta: dict, columns: dict[str, "np.ndarray"], fh) -> None:
     """Write the commented header, then the table in blocks of _CHUNK_ROWS rows."""
     lines = []
     for key, val in meta.items():
@@ -289,12 +300,14 @@ def _csv_text(meta: dict, columns: dict[str, np.ndarray], fh) -> None:
         fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
-def _source_spec(params: dict, phase_key: str = "phi") -> superposition.SuperpositionSpec:
-    return superposition.SuperpositionSpec(beta_abs=params["beta"], rel_phase=params[phase_key])
+def _source_spec(params: dict, phase_key: str = "phi") -> SuperpositionSpec:
+    return SuperpositionSpec(beta_abs=params["beta"], rel_phase=params[phase_key])
 
 
 def _table(n_max: int, header: list, rows) -> CommandOutput:
     """Output whose JSON result and CSV body are the same float rows."""
+    import numpy as np
+
     rows = np.asarray(rows, float)
     return CommandOutput(
         n_max=n_max,
@@ -303,7 +316,9 @@ def _table(n_max: int, header: list, rows) -> CommandOutput:
     )
 
 
-def _emitter(params: dict, explicit: set) -> modes.EmitterParams:
+def _emitter(params: dict, explicit: set) -> "modes.EmitterParams":
+    from . import modes
+
     if params["preset"] != "custom":
         if "lifetime-ns" in explicit:
             raise InvalidParameter("give either a preset or an explicit lifetime, not both")
@@ -314,21 +329,23 @@ def _emitter(params: dict, explicit: set) -> modes.EmitterParams:
 
 def _run_variance(params: dict, explicit: set) -> CommandOutput:
     spec = _source_spec(params)
-    v1, v2 = superposition.quadrature_variances(spec)
-    vmin = superposition.min_variance(spec)
+    v1, v2 = quadrature_variances(spec)
+    vmin = min_variance(spec)
     result = {
         "variance_x1": v1,
-        "db_x1": fock.variance_to_db(v1),
+        "db_x1": variance_to_db(v1),
         "variance_x2": v2,
-        "db_x2": fock.variance_to_db(v2),
+        "db_x2": variance_to_db(v2),
         "min_variance": vmin,
-        "min_db": fock.variance_to_db(vmin),
-        "squeezed": superposition.squeezing_region(spec),
+        "min_db": variance_to_db(vmin),
+        "squeezed": squeezing_region(spec),
     }
     return CommandOutput(n_max=1, result=result)
 
 
 def _run_jc_sweep(params: dict, explicit: set) -> CommandOutput:
+    from . import jaynes_cummings
+
     prep = jaynes_cummings.AtomPrep(theta=params["theta"], phi=params["phi"])
     jc = jaynes_cummings.JCParams(
         omega0=params["omega"], omega=params["omega"], coupling=params["coupling"]
@@ -338,6 +355,10 @@ def _run_jc_sweep(params: dict, explicit: set) -> CommandOutput:
 
 
 def _run_wigner(params: dict, explicit: set) -> CommandOutput:
+    import numpy as np
+
+    from . import fock, superposition, wigner
+
     spec = _source_spec(params)
     rho = fock.to_density(superposition.make_superposition(spec))
     half = params["range"]
@@ -367,6 +388,8 @@ def _run_wigner(params: dict, explicit: set) -> CommandOutput:
 
 
 def _run_homodyne(params: dict, explicit: set) -> CommandOutput:
+    from . import fock, homodyne, superposition
+
     spec = _source_spec(params)
     rho = fock.to_density(superposition.make_superposition(spec))
     run = homodyne.HomodyneRun(
@@ -383,16 +406,18 @@ def _run_homodyne(params: dict, explicit: set) -> CommandOutput:
         "n": est.n,
         "mean_hat": est.mean_hat,
         "var_hat": est.var_hat,
-        "db_hat": fock.variance_to_db(est.var_hat),
+        "db_hat": variance_to_db(est.var_hat),
         "std_error_of_var": est.std_error_of_var,
         "std_error_normal_theory": est.std_error_normal_theory,
         "exact_variance": exact.variance,
-        "exact_db": fock.variance_to_db(exact.variance),
+        "exact_db": variance_to_db(exact.variance),
     }
     return CommandOutput(n_max=rho.n_max, result=result, columns={"sample": samples})
 
 
 def _run_phase_scan(params: dict, explicit: set) -> CommandOutput:
+    from . import fock, homodyne, superposition
+
     spec = _source_spec(params)
     rho = fock.to_density(superposition.make_superposition(spec))
     rows = homodyne.phase_scan(
@@ -403,6 +428,8 @@ def _run_phase_scan(params: dict, explicit: set) -> CommandOutput:
 
 
 def _run_budget(params: dict, explicit: set) -> CommandOutput:
+    from . import modes
+
     emitter = _emitter(params, explicit)
     spec = _source_spec(params, "rel-phase")
     window = params["window-lifetimes"]
@@ -435,7 +462,7 @@ def _run_budget(params: dict, explicit: set) -> CommandOutput:
         "eta_detector": budget.eta_detector,
         "eta_total": budget.eta_total,
         "input_variance": budget.input_variance,
-        "input_db": fock.variance_to_db(budget.input_variance),
+        "input_db": variance_to_db(budget.input_variance),
         "detected_variance": budget.detected_variance,
         "detected_db": budget.detected_db,
     }
@@ -443,6 +470,10 @@ def _run_budget(params: dict, explicit: set) -> CommandOutput:
 
 
 def _run_window_sweep(params: dict, explicit: set) -> CommandOutput:
+    import numpy as np
+
+    from . import modes
+
     emitter = _emitter(params, explicit)
     spec = _source_spec(params, "rel-phase")
     require_int("steps", params["steps"], 2)
@@ -513,6 +544,8 @@ def run(args: argparse.Namespace) -> int:
         if args.fmt == "json":
             _json_text(meta, out.result, fh)
         else:
+            import numpy as np
+
             columns = out.columns if out.columns is not None else {k: np.array([v]) for k, v in out.result.items()}
             _csv_text(meta, columns, fh)
     return EXIT_OK

@@ -14,8 +14,8 @@ __all__ = [
 ]
 
 import math
-
-import numpy as np
+import numbers
+import sys
 
 
 class AtomSqueezeError(Exception):
@@ -39,7 +39,9 @@ class DegenerateData(AtomSqueezeError):
 
 
 def _shown(value) -> str:
-    return repr(value.item() if isinstance(value, np.generic) else value)
+    # a numpy scalar can only exist once numpy is loaded, so a closed-form run never imports it
+    np = sys.modules.get("numpy")
+    return repr(value.item() if np is not None and isinstance(value, np.generic) else value)
 
 
 def require_finite(name: str, value) -> None:
@@ -59,6 +61,9 @@ def require_in(name: str, value, lo, hi=math.inf, *, open_lo: bool = False, open
 
 
 def require_int(name: str, value, least: int) -> None:
-    """Raise InvalidParameter unless value is an int or numpy integer >= least; a bool or float fails."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or not value >= least:
+    """Raise InvalidParameter unless value is an int or numpy integer >= least; a bool or float fails.
+
+    numpy registers its integers as numbers.Integral, so no numpy import is needed to accept them.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or not value >= least:
         raise InvalidParameter(f"{name} must be an integer >= {least}, got {_shown(value)}")

@@ -21,7 +21,8 @@ Its mean and variance come from three diagonals of rho, in O(n):
 with <a^dag a> = sum_n n rho_{nn}.  No padded level is needed, since
 a a^dag = a^dag a + 1 holds exactly in this form; quadrature_operator keeps
 the trace Tr(rho X_phi^k) as the test oracle.  Squeezing is always quoted
-against the vacuum floor: dB = 10 log10(V / 0.25), negative below it.
+against the vacuum floor: dB = 10 log10(V / 0.25), negative below it
+(variance_to_db, re-exported from the numpy-free closed_forms).
 
 Linear loss at transmission eta (a beamsplitter that keeps each photon with
 probability eta) is applied in band form, moving weight only down the
@@ -48,12 +49,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import InvalidState, _shown, require_finite, require_in, require_int
+from .closed_forms import VACUUM_VARIANCE, variance_to_db
+from .errors import InvalidState, require_finite, require_in, require_int
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
 PSD_TOL = -1e-10
-VACUUM_VARIANCE = 0.25
 
 
 @dataclass(frozen=True)
@@ -186,13 +187,6 @@ def quadrature_stats(state: FockDensity, phi_lo: float) -> QuadratureStats:
     mean = float((e * a1).real)
     second = float(0.25 * (1.0 + 2.0 * np.dot(n, np.diagonal(rho)[1:].real) + 2.0 * (e * e * a2).real))
     return QuadratureStats(phi_lo=phi_lo, mean=mean, variance=second - mean * mean)
-
-
-def variance_to_db(variance: float) -> float:
-    """Squeezing level 10 log10(V / 0.25); negative means below vacuum."""
-    if not (variance > 0.0):
-        raise InvalidState(f"variance must be > 0 to convert to dB, got {_shown(variance)}")
-    return 10.0 * math.log10(variance / VACUUM_VARIANCE)
 
 
 def _loss_weights(n_max: int, eta: float) -> list[np.ndarray]:

@@ -45,8 +45,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
+from .closed_forms import SuperpositionSpec
 from .errors import InvalidParameter, InvalidState, NotSupported, _shown, require_finite, require_in, require_int
-from .superposition import SuperpositionSpec
 
 NUMERIC_N_MAX = 4  # field truncation for the integrator; exact support is n <= 1
 MAX_STABLE_DT = 0.01  # in units of 1/coupling
@@ -119,7 +119,10 @@ class DipoleCheck:
 
     def __post_init__(self):
         if not (math.isfinite(self.commutator_expectation) and math.isfinite(self.normally_ordered_var_d1)):
-            raise InvalidState(f"dipole criterion figures must be finite, got {self!r}")
+            raise InvalidState(
+                "dipole criterion figures must be finite, got"
+                f" {_shown(self.commutator_expectation)} and {_shown(self.normally_ordered_var_d1)}"
+            )
 
     @property
     def field_squeezing_predicted(self) -> bool:

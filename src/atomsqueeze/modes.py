@@ -39,9 +39,7 @@ import math
 import sys
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import fock, superposition
+from .closed_forms import VACUUM_VARIANCE, SuperpositionSpec, min_variance, variance_to_db
 from .errors import InvalidParameter, InvalidState, _shown, require_in
 
 # Wigner-Weisskopf lifetimes, seconds; presets are data, not code
@@ -80,7 +78,8 @@ class EmitterParams:
 
     @property
     def linewidth_hz(self) -> float:
-        return 1.0 / (2.0 * math.pi * self.lifetime_tau)
+        # in Python floats, a product past the largest double is inf without numpy's overflow warning
+        return 1.0 / (2.0 * math.pi * float(self.lifetime_tau))
 
     @classmethod
     def from_lifetime(cls, tau: float) -> "EmitterParams":
@@ -125,6 +124,8 @@ class TemporalMode:
         return 1.0 / math.sqrt(integral) if integral > 0.0 else math.inf
 
     def amplitude(self, t):
+        import numpy as np  # the closed forms never sample the envelope, so numpy stays out of a `budget` run
+
         ts = np.asarray(t, dtype=float)
         vals = np.where(
             (ts >= 0.0) & (ts <= self.window),
@@ -209,15 +210,15 @@ class EfficiencyBudget:
     @property
     def detected_variance(self) -> float:
         eta = self.eta_total
-        return eta * self.input_variance + (1.0 - eta) * fock.VACUUM_VARIANCE
+        return eta * self.input_variance + (1.0 - eta) * VACUUM_VARIANCE
 
     @property
     def detected_db(self) -> float:
-        return fock.variance_to_db(self.detected_variance)
+        return variance_to_db(self.detected_variance)
 
 
 def detected_squeezing(
-    source: superposition.SuperpositionSpec,
+    source: SuperpositionSpec,
     eta_collection: float,
     emitted: TemporalMode,
     lo: TemporalMode,
@@ -230,22 +231,24 @@ def detected_squeezing(
         eta_collection=eta_collection,
         eta_overlap=mode_overlap(emitted, lo),
         eta_detector=eta_detector,
-        input_variance=superposition.min_variance(source),
+        input_variance=min_variance(source),
     )
 
 
 def window_tradeoff(
-    source: superposition.SuperpositionSpec,
+    source: SuperpositionSpec,
     eta_collection: float,
     emitter: EmitterParams,
     windows,
     eta_detector: float = 1.0,
-) -> np.ndarray:
+) -> "np.ndarray":
     """Detected squeezing vs LO window, matched-rate truncated-exponential LO.
 
     Returns rows (window_seconds, eta_overlap, detected_db) for an
     ascending grid of windows.
     """
+    import numpy as np  # kept here, with TemporalMode.amplitude's, so that importing modes loads no numpy
+
     ws = np.asarray(windows, dtype=float)
     # finite first, as np.diff warns on two infinite windows; each test is one a NaN fails
     if ws.ndim != 1 or ws.size < 1 or not (np.isfinite(ws).all() and ws[0] > 0.0 and (np.diff(ws) > 0.0).all()):

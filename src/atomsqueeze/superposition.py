@@ -1,16 +1,8 @@
 """Vacuum/one-photon superpositions and squeezed vacuum in the Fock basis.
 
-The central state is
-
-    |psi> = gamma |0> + beta e^{i phi_rel} |1>,  gamma = sqrt(1 - beta^2) >= 0
-
-with beta = |beta| in [0, 1].  Its generalized quadrature variance is
-
-    V(phi_lo) = 1/4 + beta^2/2 - (1 - beta^2) beta^2 cos^2(phi_rel - phi_lo)
-
-so the X1 (phi_lo = 0) and X2 (phi_lo = pi/2) variances pick out the
-cos^2(phi_rel) and sin^2(phi_rel) terms.  The strongest squeezing over all
-phases, 3/16 at beta = 1/2, sits about 1.25 dB below the vacuum floor.
+The central state is gamma |0> + beta e^{i phi_rel} |1>.  Its closed-form
+variances live in closed_forms, which needs no numpy; this module
+re-exports them beside the Fock-basis states.
 """
 
 __all__ = [
@@ -26,76 +18,27 @@ __all__ = [
 ]
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from . import fock
-from .errors import InvalidParameter, InvalidState, require_finite, require_in, require_int
+from .closed_forms import (
+    SuperpositionSpec,
+    min_variance,
+    quadrature_variances,
+    squeezing_region,
+    superposition_variance,
+    variance_at_lo_phase,
+)
+from .errors import InvalidParameter, InvalidState, require_in, require_int
 
 XI_MAX = 5.0  # |xi| beyond this is numerically pointless at the truncations used
-
-
-@dataclass(frozen=True)
-class SuperpositionSpec:
-    """Parameters (|beta|, phi_rel) of gamma|0> + beta e^{i phi_rel}|1>."""
-
-    beta_abs: float
-    rel_phase: float
-
-    def __post_init__(self):
-        require_in("|beta|", self.beta_abs, 0, 1)
-        require_finite("rel_phase", self.rel_phase)
-
-    @property
-    def gamma(self) -> float:
-        """Real, non-negative vacuum amplitude sqrt(1 - |beta|^2)."""
-        return math.sqrt(max(0.0, 1.0 - self.beta_abs**2))
 
 
 def make_superposition(spec: SuperpositionSpec) -> fock.FockVector:
     """Fock vector [gamma, beta e^{i phi_rel}]; n_max = 1 is exact here."""
     beta = spec.beta_abs * np.exp(1j * spec.rel_phase)
     return fock.make_fock_vector([spec.gamma, beta])
-
-
-def variance_at_lo_phase(spec: SuperpositionSpec, phi_lo: float) -> float:
-    """Closed-form Var(X_phi_lo) of the superposition state."""
-    require_finite("LO phase", phi_lo)
-    b2 = spec.beta_abs**2
-    c = math.cos(spec.rel_phase - phi_lo)
-    return fock.VACUUM_VARIANCE + b2 / 2.0 - (1.0 - b2) * b2 * c * c
-
-
-def superposition_variance(spec: SuperpositionSpec, quadrature_index: int) -> float:
-    """Closed-form variance of X1 (index 1) or X2 (index 2).
-
-    Reduces to 1/4 + |beta|^2 (|beta|^2 - 1/2) at phi_rel in {0, pi} for X1
-    and {pi/2, 3pi/2} for X2.
-    """
-    require_int("quadrature_index", quadrature_index, 1)
-    require_in("quadrature_index", quadrature_index, 1, 2)
-    return variance_at_lo_phase(spec, 0.0 if quadrature_index == 1 else math.pi / 2.0)
-
-
-def quadrature_variances(spec: SuperpositionSpec) -> tuple[float, float]:
-    """(Var X1, Var X2) closed forms."""
-    return superposition_variance(spec, 1), superposition_variance(spec, 2)
-
-
-def min_variance(spec: SuperpositionSpec) -> float:
-    """Variance at the optimal LO phase: 1/4 + beta^2 (beta^2 - 1/2)."""
-    b2 = spec.beta_abs**2
-    return fock.VACUUM_VARIANCE + b2 * (b2 - 0.5)
-
-
-def squeezing_region(spec: SuperpositionSpec) -> bool:
-    """True iff some LO phase dips strictly below the vacuum floor.
-
-    Strict test with a 1e-12 guard so beta = 0 and beta = 1/sqrt(2)
-    (where the minimum exactly touches 1/4) report False.
-    """
-    return min_variance(spec) < fock.VACUUM_VARIANCE - 1e-12
 
 
 def optimal_beta(n_scan: int = 10_000) -> tuple[float, float, float]:

@@ -270,6 +270,20 @@ def test_tabulate_rejects_a_grid_that_misses_mass():
     assert "np.float64" not in str(exc.value)
 
 
+@pytest.mark.parametrize("n_max", [1, 20, 52])
+def test_tabulate_in_place_equals_the_out_of_place_trapezoid(n_max):
+    # the form _tabulate had before it reused its buffers, kept as the oracle, bit for bit
+    rho = random_mixture(np.random.default_rng(n_max), n_max)[0]
+    for phi in (0.0, 0.7, 2.9):
+        half = homodyne._half_width(fock.quadrature_stats(rho, phi))
+        xs = np.linspace(-half, half, homodyne.CDF_POINTS)
+        p = homodyne._marginal(fock._rotated(rho.matrix, phi).real, homodyne._psi_blocks(n_max, xs), xs.size)
+        p = np.clip(p, 0.0, None)
+        cdf = np.concatenate([[0.0], np.cumsum((p[1:] + p[:-1]) * ((xs[1] - xs[0]) / 2.0))])
+        got = homodyne._tabulate(rho, phi, xs, homodyne._psi_blocks(n_max, xs))
+        assert np.array_equal((cdf / cdf[-1]).view(np.int64), got.view(np.int64))
+
+
 def test_variance_estimate_requires_positive_variance():
     with pytest.raises(InvalidParameter):
         VarianceEstimate(n=5, mean_hat=0.0, var_hat=0.0, std_error_of_var=0.1)

@@ -1,0 +1,151 @@
+"""What importing the package loads: cold commands import only what they run.
+
+The closed-form commands (`variance` with JSON output, and `budget`) run
+without numpy; `import atomsqueeze` loads no submodule until a public name
+is used.  The import-graph test pins which modules load numpy at import
+time, so that one stray top-level import cannot silently undo that.
+"""
+
+import ast
+import json
+import math
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import atomsqueeze
+
+SRC = Path(atomsqueeze.__file__).resolve().parent
+
+# the modules that load numpy when imported, directly or through another module
+LOADS_NUMPY = {"fock", "homodyne", "jaynes_cummings", "superposition", "wigner"}
+# the functions outside cli.py that may import: the lazy package namespace,
+# and the two modes functions that are the only numpy users in `budget`'s module
+FUNCTION_IMPORTS = {
+    "__init__": {"__getattr__"},
+    "modes": {"TemporalMode.amplitude", "window_tradeoff"},
+}
+
+
+def _child(*args: str) -> subprocess.CompletedProcess:
+    """Run this interpreter on args with the package's src/ first on its path."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
+    proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    return proc
+
+
+def _loaded_after(code: str) -> dict:
+    """Run code in a fresh interpreter; report the package modules it loaded and whether numpy is one."""
+    report = (
+        "\nimport json, sys\n"
+        "print(json.dumps({'package': sorted(m for m in sys.modules if m.split('.')[0] == 'atomsqueeze'),"
+        " 'numpy': 'numpy' in sys.modules}), file=sys.stderr)"
+    )
+    return json.loads(_child("-c", code + report).stderr.strip().splitlines()[-1])
+
+
+def _run_cli(argv: list) -> tuple[str, dict]:
+    """Run `python -X importtime -m atomsqueeze.cli argv`; return its stdout and what it loaded.
+
+    -X importtime lists every module the process imports, one line each, on stderr.
+    """
+    proc = _child("-X", "importtime", "-m", "atomsqueeze.cli", *argv)
+    names = {ln.rsplit("|", 1)[1].strip() for ln in proc.stderr.splitlines() if ln.startswith("import time:")}
+    package = sorted(n for n in names if n.split(".")[0] == "atomsqueeze")
+    return proc.stdout, {"package": package, "numpy": "numpy" in names}
+
+
+NUMPY_FREE_RUN = ["atomsqueeze", "atomsqueeze.closed_forms", "atomsqueeze.errors"]
+
+
+def test_variance_json_runs_without_numpy():
+    out, loaded = _run_cli(["variance", "--beta", "0.5", "--phi", "0"])
+    assert loaded == {"package": NUMPY_FREE_RUN, "numpy": False}
+    assert json.loads(out)["result"]["min_variance"] == 3.0 / 16.0
+
+
+def test_budget_runs_without_numpy():
+    out, loaded = _run_cli(["budget", "--collection", "0.94", "--lifetime-ns", "230", "--window-lifetimes", "5"])
+    assert loaded == {"package": [*NUMPY_FREE_RUN, "atomsqueeze.modes"], "numpy": False}
+    assert math.isclose(json.loads(out)["result"]["eta_overlap"], -math.expm1(-5.0), rel_tol=1e-15)
+
+
+def test_variance_csv_loads_numpy_only_for_its_table():
+    out, loaded = _run_cli(["variance", "--beta", "0.5", "--format", "csv"])
+    assert loaded == {"package": NUMPY_FREE_RUN, "numpy": True}
+    assert out.splitlines()[-1] == "0.1875,-1.2493873660829993,0.375,1.7609125905568124,0.1875,-1.2493873660829993,true"
+
+
+def test_import_atomsqueeze_loads_no_submodule():
+    assert _loaded_after("import atomsqueeze") == {"package": ["atomsqueeze"], "numpy": False}
+
+
+def test_a_submodule_name_imports_nothing_else():
+    # `from . import x` asks hasattr(package, x) first; answering it must not load the library
+    code = "import atomsqueeze\nassert not hasattr(atomsqueeze, 'fock') and not hasattr(atomsqueeze, 'cli')"
+    assert _loaded_after(code) == {"package": ["atomsqueeze"], "numpy": False}
+    assert _loaded_after("from atomsqueeze import closed_forms") == {"package": NUMPY_FREE_RUN, "numpy": False}
+
+
+def test_star_import_binds_every_public_name():
+    code = (
+        "from atomsqueeze import *\n"
+        "import atomsqueeze\n"
+        "missing = [n for n in atomsqueeze.__all__ if globals().get(n) is not getattr(atomsqueeze, n)]\n"
+        "print(len(atomsqueeze.__all__), missing)"
+    )
+    assert _child("-c", code).stdout.split() == ["60", "[]"]
+
+
+def test_a_public_name_loads_the_seven_library_modules():
+    loaded = _loaded_after("import atomsqueeze\natomsqueeze.variance_to_db")
+    library = {"errors", "fock", "homodyne", "jaynes_cummings", "modes", "superposition", "wigner", "closed_forms"}
+    assert loaded == {"package": sorted(["atomsqueeze", *(f"atomsqueeze.{m}" for m in library)]), "numpy": True}
+
+
+def _imports(tree: ast.Module):
+    """(function qualname or None, import node) for each import; None marks one that runs at import time."""
+    found = []
+
+    def walk(node, scope, in_function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                found.append((scope if in_function else None, child))
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = f"{scope}.{child.name}" if scope else child.name
+                walk(child, name, in_function or not isinstance(child, ast.ClassDef))
+            else:
+                walk(child, scope, in_function)
+
+    walk(tree, "", False)
+    return found
+
+
+def _targets(node, modules: set) -> set:
+    """The package modules and top-level packages an import statement loads."""
+    if isinstance(node, ast.Import):
+        names = [alias.name for alias in node.names]
+        return {n.split(".")[1] if n.startswith("atomsqueeze.") else n.split(".")[0] for n in names}
+    if node.level == 0:
+        return {node.module.split(".")[0]}
+    if node.module is not None:
+        return {node.module.split(".")[0]}
+    return {alias.name for alias in node.names if alias.name in modules}
+
+
+def test_import_graph_pins_which_modules_load_numpy():
+    trees = {path.stem: ast.parse(path.read_text(encoding="utf-8")) for path in SRC.glob("*.py")}
+    edges, function_imports = {}, {}
+    for module, tree in trees.items():
+        found = _imports(tree)
+        edges[module] = set().union(*(_targets(node, set(trees)) for scope, node in found if scope is None))
+        function_imports[module] = {scope for scope, _ in found if scope is not None}
+
+    def loads_numpy(module, seen=()):
+        targets = edges.get(module, set())
+        return "numpy" in targets or any(loads_numpy(t, (*seen, module)) for t in targets - {*seen, module})
+
+    assert {m for m in trees if loads_numpy(m)} == LOADS_NUMPY
+    assert {m: f for m, f in function_imports.items() if f and m != "cli"} == FUNCTION_IMPORTS

@@ -288,6 +288,13 @@ def test_dipole_check_derives_its_prediction():
     assert jc.DipoleCheck(-0.5, -jc.PREDICTION_GUARD).field_squeezing_predicted is False
 
 
+@pytest.mark.parametrize("figures", [(np.float64(math.nan), 0.0), (-0.5, np.float64(-math.inf))])
+def test_dipole_check_shows_non_finite_figures_as_python_numbers(figures):
+    shown = " and ".join(repr(float(f)) for f in figures)
+    with pytest.raises(InvalidState, match=rf"^dipole criterion figures must be finite, got {shown}$"):
+        jc.DipoleCheck(*figures)
+
+
 def test_dipole_check_boundary_is_not_a_prediction():
     # theta a hair past pi: the formal dip is ~1e-32, unresolvable against 1/4
     theta = float(np.linspace(0.0, 2.0 * math.pi, 50, endpoint=False)[25])

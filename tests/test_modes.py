@@ -54,6 +54,14 @@ def test_emitter_rejects_a_lifetime_whose_rate_overflows():
     assert EmitterParams.from_lifetime(1e-308).gamma_rate == 1e308
 
 
+@pytest.mark.filterwarnings("error")
+def test_linewidth_of_a_huge_numpy_lifetime_warns_nothing():
+    # 2 pi tau overflows to inf in Python floats, with no numpy overflow warning
+    assert EmitterParams(np.float64(1e308)).linewidth_hz == 0.0
+    for tau in (2.3e-7, np.float64(2.3e-7), 1e300, np.float64(1e-300)):
+        assert EmitterParams(tau).linewidth_hz == 1.0 / (2.0 * math.pi * float(tau))
+
+
 # -------------------------------------------------------------- temporal modes
 
 def test_emitted_mode_envelope():
