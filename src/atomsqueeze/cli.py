@@ -11,8 +11,9 @@ Exit codes: 0 success, 2 parameter/usage error, 3 numeric or physical
 failure, 4 I/O failure.
 
 Each handler imports the modules it computes with when it runs, so a
-command loads only what it uses: `variance` with JSON output, and `budget`,
-run without numpy.
+command loads only what it uses: `variance` with JSON output, `budget`,
+`jc-sweep` and `window-sweep` run without numpy.  The two sweeps compute
+plain float rows, and their CSV columns are array.array("d").
 """
 
 import argparse
@@ -20,11 +21,13 @@ import contextlib
 import json
 import math
 import sys
+from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 
 from . import __version__
-from .closed_forms import SuperpositionSpec, min_variance, quadrature_variances, squeezing_region, variance_to_db
+from .closed_forms import AtomPrep, JCParams, SuperpositionSpec, _linspace, _transient_rows
+from .closed_forms import min_variance, quadrature_variances, squeezing_region, variance_to_db
 from .errors import DegenerateData, InvalidParameter, InvalidState, NotSupported
 from .errors import require_finite, require_in, require_int
 
@@ -36,10 +39,10 @@ EXIT_IO = 4
 _REQUIRED = object()
 
 # Caps on the inputs that size memory; larger values exit 2.  Results are held
-# as numpy arrays.  CSV text is streamed in blocks of _CHUNK_ROWS rows, and a
-# JSON document, whose arrays are small except for a Wigner grid, is built
-# whole before its one write (a 1,001^2 grid peaks near 220 MiB).  So the caps
-# bound the arrays, the JSON text and the run time.  A phase scan draws
+# as numpy arrays or float rows.  CSV text is streamed in blocks of _CHUNK_ROWS
+# rows, and a JSON document, whose arrays are small except for a Wigner grid,
+# is built whole before its one write (a 1,001^2 grid peaks near 220 MiB).  So
+# the caps bound the arrays, the JSON text and the run time.  A phase scan draws
 # samples x n-phases values, so that product has its own cap: either input at
 # its cap with the other at its default passes, both at their caps (4.1e9
 # draws, minutes of work) do not.
@@ -138,14 +141,15 @@ DEFAULT_FORMAT = {
 
 @dataclass
 class CommandOutput:
-    """A handler's output.  Arrays in `result` become JSON lists only when JSON
-    is written.  `columns` are the CSV table, named 1-D arrays (an object
-    column holds its cells' text); when it is None the CSV body is the
-    one-row table of the scalar results."""
+    """A handler's output.  Arrays and row tuples in `result` become JSON
+    lists only when JSON is written.  `columns` are the CSV table, named 1-D
+    numpy arrays (an object column holds its cells' text) or array.array("d")
+    float columns; when it is None the CSV body is the one-row table of the
+    scalar results."""
 
     n_max: int
     result: dict
-    columns: dict[str, "np.ndarray"] | None = None
+    columns: dict[str, "np.ndarray | array"] | None = None
     extra_meta: dict = field(default_factory=dict)
 
 
@@ -262,11 +266,11 @@ def _meta(command: str, params: dict, out: CommandOutput) -> dict:
 _BOOL_TEXT = {True: "true", False: "false"}
 
 
-def _cells(col: "np.ndarray"):
+def _cells(col: "np.ndarray | array"):
     """The text of a 1-D column, one formatter chosen from its dtype: floats
-    by repr, bools as true/false, ints by str.  str and object columns hold
-    their cells' text already."""
-    kind = col.dtype.kind
+    (an array.array("d") included) by repr, bools as true/false, ints by str.
+    str and object columns hold their cells' text already."""
+    kind = "f" if isinstance(col, array) else col.dtype.kind
     if kind == "f":
         return map(float.__repr__, col.tolist())
     if kind == "b":
@@ -283,7 +287,7 @@ def _json_text(meta: dict, result: dict, fh) -> None:
     fh.write(json.dumps(_jsonable({"meta": meta, "result": result}), indent=2) + "\n")
 
 
-def _csv_text(meta: dict, columns: dict[str, "np.ndarray"], fh) -> None:
+def _csv_text(meta: dict, columns: dict[str, "np.ndarray | array"], fh) -> None:
     """Write the commented header, then the table in blocks of _CHUNK_ROWS rows."""
     lines = []
     for key, val in meta.items():
@@ -304,15 +308,12 @@ def _source_spec(params: dict, phase_key: str = "phi") -> SuperpositionSpec:
     return SuperpositionSpec(beta_abs=params["beta"], rel_phase=params[phase_key])
 
 
-def _table(n_max: int, header: list, rows) -> CommandOutput:
-    """Output whose JSON result and CSV body are the same float rows."""
-    import numpy as np
-
-    rows = np.asarray(rows, float)
+def _table(n_max: int, header: list, rows: list) -> CommandOutput:
+    """Output whose JSON result and CSV body are the same plain float rows."""
     return CommandOutput(
         n_max=n_max,
         result={"columns": header, "rows": rows},
-        columns=dict(zip(header, rows.T)),
+        columns={name: array("d", col) for name, col in zip(header, zip(*rows))},
     )
 
 
@@ -344,13 +345,9 @@ def _run_variance(params: dict, explicit: set) -> CommandOutput:
 
 
 def _run_jc_sweep(params: dict, explicit: set) -> CommandOutput:
-    from . import jaynes_cummings
-
-    prep = jaynes_cummings.AtomPrep(theta=params["theta"], phi=params["phi"])
-    jc = jaynes_cummings.JCParams(
-        omega0=params["omega"], omega=params["omega"], coupling=params["coupling"]
-    )
-    rows = jaynes_cummings.transient_sweep(prep, jc, params["t-max"], params["steps"])
+    prep = AtomPrep(theta=params["theta"], phi=params["phi"])
+    jc = JCParams(omega0=params["omega"], omega=params["omega"], coupling=params["coupling"])
+    rows = _transient_rows(prep, jc, params["t-max"], params["steps"])
     return _table(1, ["t", "variance_x1", "variance_x2", "db_x1", "db_x2"], rows)
 
 
@@ -424,7 +421,7 @@ def _run_phase_scan(params: dict, explicit: set) -> CommandOutput:
         rho, params["eta"], params["samples"], params["seed"], params["n-phases"]
     )
     header = ["phi_lo", "var_hat", "db_hat", "std_error", "var_exact", "db_exact"]
-    return _table(rho.n_max, header, rows)
+    return _table(rho.n_max, header, rows.tolist())
 
 
 def _run_budget(params: dict, explicit: set) -> CommandOutput:
@@ -470,27 +467,32 @@ def _run_budget(params: dict, explicit: set) -> CommandOutput:
 
 
 def _run_window_sweep(params: dict, explicit: set) -> CommandOutput:
-    import numpy as np
-
     from . import modes
 
     emitter = _emitter(params, explicit)
     spec = _source_spec(params, "rel-phase")
-    require_int("steps", params["steps"], 2)
-    # checked before np.linspace, which warns on an infinite bound or an overflowing span,
-    # and before the grid is scaled; a float product overflows to inf without a warning
+    steps = params["steps"]
+    require_int("steps", steps, 2)
+    # each bound, and its window in seconds, is checked under its flag's name;
+    # a float product overflows to inf without a warning
     for name in ("min-lifetimes", "max-lifetimes"):
         require_in(name, params[name], 0, open_lo=True)
         require_finite(f"{name} x lifetime", params[name] * emitter.lifetime_tau)
     lo, hi = params["min-lifetimes"], params["max-lifetimes"]
     if not lo < hi:
         raise InvalidParameter(f"min-lifetimes must be < max-lifetimes, got {lo!r} and {hi!r}")
-    grid = np.linspace(lo, hi, params["steps"])
-    rows = modes.window_tradeoff(
-        spec, params["collection"], emitter, grid * emitter.lifetime_tau, params["detector"]
-    )
+    tau = emitter.lifetime_tau
+    windows = [w * tau for w in _linspace(lo, hi, steps)]
+    # a range holding fewer than `steps` doubles, before or after scaling, repeats
+    # a window, and a shortest window below the smallest double is 0 seconds
+    if not (windows[0] > 0.0 and all(a < b for a, b in zip(windows, windows[1:]))):
+        raise InvalidParameter(
+            f"min-lifetimes {lo!r}, max-lifetimes {hi!r} and steps {steps!r} give no strictly"
+            f" ascending grid of positive windows at lifetime {tau!r} s"
+        )
+    rows = modes._window_rows(spec, params["collection"], emitter, windows, params["detector"])
     header = ["window_s", "window_lifetimes", "eta_overlap", "detected_db"]
-    return _table(1, header, np.insert(rows, 1, rows[:, 0] / emitter.lifetime_tau, axis=1))
+    return _table(1, header, [(w, w / tau, overlap, db) for w, overlap, db in rows])
 
 
 HANDLERS = {
@@ -544,9 +546,11 @@ def run(args: argparse.Namespace) -> int:
         if args.fmt == "json":
             _json_text(meta, out.result, fh)
         else:
-            import numpy as np
+            columns = out.columns
+            if columns is None:
+                import numpy as np  # the one-row table of scalar results
 
-            columns = out.columns if out.columns is not None else {k: np.array([v]) for k, v in out.result.items()}
+                columns = {k: np.array([v]) for k, v in out.result.items()}
             _csv_text(meta, columns, fh)
     return EXIT_OK
 

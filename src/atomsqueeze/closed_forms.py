@@ -12,8 +12,15 @@ so the X1 (phi_lo = 0) and X2 (phi_lo = pi/2) variances pick out the
 cos^2(phi_rel) and sin^2(phi_rel) terms.  The strongest squeezing over all
 phases, 3/16 at beta = 1/2, sits about 1.25 dB below the vacuum floor.
 
+The resonant Jaynes-Cummings transient is scalar too: at lam_t = coupling * t
+
+    V(phi_lo) = 1/4 + cos^2(theta/2) sin^2(lam_t) [1/2 - sin^2(theta/2) sin^2(phi + phi_lo)]
+
+for the atom prepared in cos(theta/2)|e> + e^{i phi} sin(theta/2)|g>.
+
 This module imports no numpy, so the commands that need only these forms
-start without it.  fock and superposition re-export its names.
+start without it.  fock and superposition re-export its names, and
+jaynes_cummings re-exports AtomPrep and JCParams.
 """
 
 __all__ = [
@@ -30,7 +37,7 @@ __all__ = [
 import math
 from dataclasses import dataclass
 
-from .errors import InvalidState, _shown, require_finite, require_in, require_int
+from .errors import InvalidState, NotSupported, _shown, require_finite, require_in, require_int
 
 VACUUM_VARIANCE = 0.25
 
@@ -96,3 +103,83 @@ def squeezing_region(spec: SuperpositionSpec) -> bool:
     (where the minimum exactly touches 1/4) report False.
     """
     return min_variance(spec) < VACUUM_VARIANCE - 1e-12
+
+
+def _linspace(a: float, b: float, n: int) -> list[float]:
+    """np.linspace(a, b, n) for n >= 2, bit for bit: i * step + a, the last point b.
+
+    A step that underflows to 0 takes numpy's other branch, (i / div) * delta + a.
+    """
+    div = n - 1
+    delta = b - a
+    step = delta / div
+    if step == 0.0:
+        points = [(i / div) * delta + a for i in range(n)]
+    else:
+        points = [i * step + a for i in range(n)]
+    points[-1] = b
+    return points
+
+
+@dataclass(frozen=True)
+class AtomPrep:
+    """Initial atom state angles: cos(theta/2)|e> + e^{i phi} sin(theta/2)|g>."""
+
+    theta: float
+    phi: float
+
+    def __post_init__(self):
+        require_in("theta", self.theta, 0, math.tau, open_hi=True)
+        require_in("phi", self.phi, 0, math.tau, open_hi=True)
+
+
+@dataclass(frozen=True)
+class JCParams:
+    """Angular frequencies of atom (omega0), field (omega) and the coupling rate."""
+
+    omega0: float
+    omega: float
+    coupling: float
+
+    def __post_init__(self):
+        require_in("omega0", self.omega0, 0)
+        require_in("omega", self.omega, 0)
+        require_in("coupling", self.coupling, 0, open_lo=True)
+
+    @property
+    def resonant(self) -> bool:
+        return self.omega == self.omega0
+
+
+def _require_resonant(params: JCParams, t: float = 0.0):
+    """Reject detuned parameters and a time t that is not finite and >= 0."""
+    if not params.resonant:
+        raise NotSupported(
+            "only resonant evolution is implemented"
+            f" (omega={_shown(params.omega)} != omega0={_shown(params.omega0)})"
+        )
+    require_in("time", t, 0)
+
+
+def _resonant_variances(prep: AtomPrep, lam_ts, phi_lo: float) -> list[float]:
+    """The scalar closed form Var(X_phi_lo) at each finite lam_t = coupling * t of lam_ts.
+
+    The sine is squared as s * s, not by pow, and the sum is read 1/4 + (c2 sin^2) k:
+    the CLI goldens pin those bits.
+    """
+    c2 = math.cos(prep.theta / 2.0) ** 2
+    k = 0.5 - math.sin(prep.theta / 2.0) ** 2 * math.sin(prep.phi + phi_lo) ** 2
+    return [VACUUM_VARIANCE + c2 * (s * s) * k for s in map(math.sin, lam_ts)]
+
+
+def _transient_rows(prep: AtomPrep, params: JCParams, t_max: float, n_steps: int) -> list[tuple]:
+    """Rows (t, var_x1, var_x2, db_x1, db_x2) on the grid t = 0 .. t_max of n_steps points."""
+    _require_resonant(params)
+    require_in("t_max", t_max, 0, open_lo=True)
+    require_finite("coupling * t_max", params.coupling * t_max)
+    require_int("n_steps", n_steps, 2)
+    ts = _linspace(0.0, t_max, n_steps)
+    lams = [params.coupling * t for t in ts]
+    v1 = _resonant_variances(prep, lams, 0.0)
+    v2 = _resonant_variances(prep, lams, math.pi / 2.0)
+    return list(zip(ts, v1, v2, map(variance_to_db, v1), map(variance_to_db, v2)))

@@ -45,43 +45,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .closed_forms import SuperpositionSpec
-from .errors import InvalidParameter, InvalidState, NotSupported, _shown, require_finite, require_in, require_int
+from .closed_forms import AtomPrep, JCParams, SuperpositionSpec, _require_resonant, _resonant_variances, _transient_rows
+from .errors import InvalidParameter, InvalidState, _shown, require_finite, require_in, require_int
 
 NUMERIC_N_MAX = 4  # field truncation for the integrator; exact support is n <= 1
 MAX_STABLE_DT = 0.01  # in units of 1/coupling
 MAX_RK4_STEPS = 1_000_000  # round-off ~1e-16 per step stays 10x inside the 1e-9 norm check
 PREDICTION_GUARD = 1e-15  # a predicted dip below round-off is not a prediction
-
-
-@dataclass(frozen=True)
-class AtomPrep:
-    """Initial atom state angles: cos(theta/2)|e> + e^{i phi} sin(theta/2)|g>."""
-
-    theta: float
-    phi: float
-
-    def __post_init__(self):
-        require_in("theta", self.theta, 0, math.tau, open_hi=True)
-        require_in("phi", self.phi, 0, math.tau, open_hi=True)
-
-
-@dataclass(frozen=True)
-class JCParams:
-    """Angular frequencies of atom (omega0), field (omega) and the coupling rate."""
-
-    omega0: float
-    omega: float
-    coupling: float
-
-    def __post_init__(self):
-        require_in("omega0", self.omega0, 0)
-        require_in("omega", self.omega, 0)
-        require_in("coupling", self.coupling, 0, open_lo=True)
-
-    @property
-    def resonant(self) -> bool:
-        return self.omega == self.omega0
 
 
 @dataclass(frozen=True)
@@ -127,16 +97,6 @@ class DipoleCheck:
     @property
     def field_squeezing_predicted(self) -> bool:
         return self.commutator_expectation < -PREDICTION_GUARD and self.normally_ordered_var_d1 < -PREDICTION_GUARD
-
-
-def _require_resonant(params: JCParams, t: float = 0.0):
-    """Reject detuned parameters and a time t that is not finite and >= 0."""
-    if not params.resonant:
-        raise NotSupported(
-            "only resonant evolution is implemented"
-            f" (omega={_shown(params.omega)} != omega0={_shown(params.omega0)})"
-        )
-    require_in("time", t, 0)
 
 
 def evolve_resonant(prep: AtomPrep, params: JCParams, t: float) -> JointAtomFieldState:
@@ -213,15 +173,13 @@ def closed_form_variance_at(prep: AtomPrep, lam_t, phi_lo: float):
     """Var(X_phi_lo) closed form at lam_t = coupling * t; broadcasts over an array lam_t."""
     # a float (np.float64 included) skips np.ndim, which costs ~1 us per call
     scalar = isinstance(lam_t, float) or np.ndim(lam_t) == 0
-    # checked before numpy sees them: np.sin(inf) warns, and NaN would pass through
+    # checked first: math.sin(inf) raises ValueError, and NaN would pass through
     if not (math.isfinite(lam_t) if scalar else np.isfinite(lam_t).all()):
         raise InvalidParameter("lam_t = coupling * t must be finite everywhere")
     require_finite("LO phase", phi_lo)
-    c2 = math.cos(prep.theta / 2.0) ** 2
-    s2 = math.sin(prep.theta / 2.0) ** 2
-    sl2 = np.sin(lam_t) ** 2
-    var = fock.VACUUM_VARIANCE + c2 * sl2 * (0.5 - s2 * math.sin(prep.phi + phi_lo) ** 2)
-    return float(var) if scalar else var
+    if scalar:
+        return _resonant_variances(prep, (lam_t,), phi_lo)[0]
+    return np.reshape(_resonant_variances(prep, np.ravel(lam_t).tolist(), phi_lo), np.shape(lam_t))
 
 
 def closed_form_variances(prep: AtomPrep, lam_t) -> tuple:
@@ -288,17 +246,9 @@ def field_superposition_at_quarter_period(prep: AtomPrep) -> tuple[Superposition
 def transient_sweep(prep: AtomPrep, params: JCParams, t_max: float, n_steps: int) -> np.ndarray:
     """Variance transient on the uniform grid t = 0 .. t_max (n_steps points).
 
-    Returns rows (t, var_x1, var_x2, db_x1, db_x2).  The variances come from
-    the closed forms on the whole coupling * t grid at once; the reduced
-    density matrix path (field_variances) and the RK4 integrator are
-    cross-checks kept in the tests.
+    Returns rows (t, var_x1, var_x2, db_x1, db_x2), the plain rows of the
+    numpy-free closed_forms core as an array.  The reduced density matrix
+    path (field_variances) and the RK4 integrator are cross-checks kept in
+    the tests.
     """
-    _require_resonant(params)
-    require_in("t_max", t_max, 0, open_lo=True)
-    require_finite("coupling * t_max", params.coupling * t_max)
-    require_int("n_steps", n_steps, 2)
-    ts = np.linspace(0.0, t_max, n_steps)
-    v1, v2 = closed_form_variances(prep, params.coupling * ts)
-    db1 = [fock.variance_to_db(v) for v in v1]
-    db2 = [fock.variance_to_db(v) for v in v2]
-    return np.column_stack((ts, v1, v2, db1, db2))
+    return np.array(_transient_rows(prep, params, t_max, n_steps))

@@ -235,6 +235,17 @@ def detected_squeezing(
     )
 
 
+def _window_rows(source: SuperpositionSpec, eta_collection: float, emitter: EmitterParams, windows: list[float],
+                 eta_detector: float = 1.0) -> list[tuple]:
+    """window_tradeoff's rows as float tuples, for windows the caller has checked."""
+    em = emitted_mode(emitter.gamma_rate)
+    rows = []
+    for w in windows:
+        budget = detected_squeezing(source, eta_collection, em, lo_mode(emitter.gamma_rate, w), eta_detector)
+        rows.append((w, budget.eta_overlap, budget.detected_db))
+    return rows
+
+
 def window_tradeoff(
     source: SuperpositionSpec,
     eta_collection: float,
@@ -253,11 +264,4 @@ def window_tradeoff(
     # finite first, as np.diff warns on two infinite windows; each test is one a NaN fails
     if ws.ndim != 1 or ws.size < 1 or not (np.isfinite(ws).all() and ws[0] > 0.0 and (np.diff(ws) > 0.0).all()):
         raise InvalidParameter("windows must be a strictly ascending grid of finite positive times")
-    em = emitted_mode(emitter.gamma_rate)
-    rows = np.empty((ws.size, 3))
-    for i, w in enumerate(ws):
-        budget = detected_squeezing(
-            source, eta_collection, em, lo_mode(emitter.gamma_rate, float(w)), eta_detector
-        )
-        rows[i] = (w, budget.eta_overlap, budget.detected_db)
-    return rows
+    return np.array(_window_rows(source, eta_collection, emitter, ws.tolist(), eta_detector))

@@ -522,6 +522,23 @@ def test_window_sweep_bounds_out_of_order_exit_2_naming_both_flags(lo, hi, sourc
     )
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    ("lifetime_ns", "lo", "hi", "steps"),
+    [("230", "1", "1.0000000000000002", "100"),  # fewer distinct doubles than steps
+     ("1e-290", "1e-30", "10", "20")],  # the shortest window underflows to 0 seconds
+)
+def test_window_sweep_grid_that_does_not_ascend_exits_2_naming_its_flags(lifetime_ns, lo, hi, steps, capsys):
+    argv = ["window-sweep", "--collection", "0.9", "--lifetime-ns", lifetime_ns,
+            "--min-lifetimes", lo, "--max-lifetimes", hi, "--steps", steps]
+    assert cli.main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        f"error: parameter: min-lifetimes {float(lo)!r}, max-lifetimes {float(hi)!r} and steps {steps}"
+        " give no strictly ascending grid of positive windows"
+    )
+
 @pytest.mark.parametrize("command", ["budget", "window-sweep"])
 @pytest.mark.parametrize("value", ["-5", "0", "inf"])
 def test_lifetime_ns_out_of_domain_exits_2_naming_the_flag(command, value, capsys):

@@ -1,7 +1,7 @@
 """What importing the package loads: cold commands import only what they run.
 
-The closed-form commands (`variance` with JSON output, and `budget`) run
-without numpy; `import atomsqueeze` loads no submodule until a public name
+The closed-form commands (`variance` with JSON output, `budget`, `jc-sweep`
+and `window-sweep`) run without numpy; `import atomsqueeze` loads no submodule until a public name
 is used.  The import-graph test pins which modules load numpy at import
 time, so that one stray top-level import cannot silently undo that.
 """
@@ -71,6 +71,22 @@ def test_budget_runs_without_numpy():
     assert loaded == {"package": [*NUMPY_FREE_RUN, "atomsqueeze.modes"], "numpy": False}
     assert math.isclose(json.loads(out)["result"]["eta_overlap"], -math.expm1(-5.0), rel_tol=1e-15)
 
+
+
+def test_jc_sweep_runs_without_numpy():
+    argv = ["jc-sweep", "--theta", "2.0944", "--phi", "1.5708", "--t-max", "6.2832", "--steps", "200"]
+    out, loaded = _run_cli(argv)
+    assert loaded == {"package": NUMPY_FREE_RUN, "numpy": False}
+    lines = out.splitlines()
+    assert len(lines) == 7 + 200 and lines[7] == "0.0,0.25,0.25,0.0,0.0"
+
+
+def test_window_sweep_runs_without_numpy():
+    argv = ["window-sweep", "--collection", "0.94", "--min-lifetimes", "0.5", "--max-lifetimes", "10", "--steps", "20"]
+    out, loaded = _run_cli(argv)
+    assert loaded == {"package": [*NUMPY_FREE_RUN, "atomsqueeze.modes"], "numpy": False}
+    lines = out.splitlines()
+    assert len(lines) == 7 + 20 and lines[7] == "1.1500000000000001e-07,0.5,0.3934693402873667,-0.4213675812005512"
 
 def test_variance_csv_loads_numpy_only_for_its_table():
     out, loaded = _run_cli(["variance", "--beta", "0.5", "--format", "csv"])

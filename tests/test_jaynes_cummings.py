@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from atomsqueeze import fock, jaynes_cummings as jc, superposition
+from atomsqueeze.closed_forms import _linspace, _transient_rows
 from atomsqueeze.errors import InvalidParameter, InvalidState, NotSupported
 from atomsqueeze.jaynes_cummings import AtomPrep, JCParams, JointAtomFieldState
 
@@ -421,3 +422,68 @@ def test_transient_sweep_builds_no_density_matrix(monkeypatch):
     rows = jc.transient_sweep(AtomPrep(2.0, 1.0), RESONANT, 5.0, 50)
     assert rows.shape == (50, 5)
     assert np.all(np.isfinite(rows))
+
+
+# ------------------------------------------------- the numpy-free grid and rows
+
+def _bits(values) -> np.ndarray:
+    return np.asarray(values, dtype=float).view(np.int64)
+
+
+@pytest.mark.parametrize(("a", "b", "n"), [
+    (0.0, 1.0, 2), (0.5, 10.0, 2), (0.0, 6.2832, 100_000), (0.5, 10.0, 100_000),
+    (0.0, 6.2832, 200), (0.5, 10.0, 20),  # the README jc-sweep and window-sweep grids
+    (0.0, 5e-324, 7), (0.0, 5e-324, 100_000), (1e-310, 1e-310 + 5e-323, 50),  # steps that underflow to 0
+])
+def test_linspace_equals_numpy_bit_for_bit(a, b, n):
+    assert np.array_equal(_bits(_linspace(a, b, n)), _bits(np.linspace(a, b, n)))
+
+
+def test_linspace_takes_numpy_branch_for_a_zero_step():
+    # the step 5e-324 / 6 is 0, so the points are (i / div) * delta + a, not i * 0 + a
+    assert (5e-324 - 0.0) / 6 == 0.0
+    assert _linspace(0.0, 5e-324, 7) == [0.0, 0.0, 0.0, 0.0, 5e-324, 5e-324, 5e-324]
+
+
+def test_linspace_equals_numpy_on_random_positive_bounds():
+    rng = np.random.default_rng(21)
+    for _ in range(200):
+        a, b = sorted(10.0 ** rng.uniform(-300, 300, size=2))
+        n = int(rng.integers(2, 3000))
+        assert np.array_equal(_bits(_linspace(float(a), float(b), n)), _bits(np.linspace(a, b, n))), (a, b, n)
+
+
+def _vectorised_transient(prep: AtomPrep, params: JCParams, t_max: float, n_steps: int) -> np.ndarray:
+    """The sweep as numpy computed it before its rows came from the scalar core."""
+    ts = np.linspace(0.0, t_max, n_steps)
+    lam = params.coupling * ts
+    c2 = math.cos(prep.theta / 2.0) ** 2
+    s2 = math.sin(prep.theta / 2.0) ** 2
+    v1, v2 = (
+        fock.VACUUM_VARIANCE + c2 * np.sin(lam) ** 2 * (0.5 - s2 * math.sin(prep.phi + phi_lo) ** 2)
+        for phi_lo in (0.0, math.pi / 2.0)
+    )
+    db1 = [fock.variance_to_db(v) for v in v1]
+    db2 = [fock.variance_to_db(v) for v in v2]
+    return np.column_stack((ts, v1, v2, db1, db2))
+
+
+def test_transient_sweep_matches_the_vectorised_oracle():
+    # within round-off, not bit for bit: np.sin follows numpy's SIMD dispatch,
+    # while the CLI goldens pin this host's bytes
+    rng = np.random.default_rng(2021)
+    for _ in range(60):
+        prep = AtomPrep(float(rng.uniform(0.0, 2.0 * math.pi)), float(rng.uniform(0.0, 2.0 * math.pi)))
+        params = JCParams(omega0=0.0, omega=0.0, coupling=float(10.0 ** rng.uniform(-2, 2)))
+        t_max, n_steps = float(10.0 ** rng.uniform(-3, 3)), int(rng.integers(2, 2000))
+        rows = jc.transient_sweep(prep, params, t_max, n_steps)
+        want = _vectorised_transient(prep, params, t_max, n_steps)
+        assert rows.shape == want.shape
+        assert np.allclose(rows, want, rtol=1e-15, atol=0.0)
+
+
+def test_transient_core_returns_the_rows_of_transient_sweep():
+    prep, args = AtomPrep(2.0944, 1.5708), (ZERO_FREQ, 6.2832, 200)
+    rows = _transient_rows(prep, *args)
+    assert all(type(x) is float for row in rows for x in row)
+    assert np.array_equal(_bits(rows), _bits(jc.transient_sweep(prep, *args)))

@@ -290,6 +290,32 @@ def test_window_tradeoff_rows():
     assert rows[0, 2] > rows[1, 2] > rows[2, 2]
 
 
+def _per_window_tradeoff(source, eta_collection, emitter, windows, eta_detector=1.0) -> np.ndarray:
+    """window_tradeoff as it filled an ndarray window by window, before its rows came from the plain-row core."""
+    em = modes.emitted_mode(emitter.gamma_rate)
+    rows = np.empty((windows.size, 3))
+    for i, w in enumerate(windows):
+        lo = modes.lo_mode(emitter.gamma_rate, float(w))
+        budget = modes.detected_squeezing(source, eta_collection, em, lo, eta_detector)
+        rows[i] = (w, budget.eta_overlap, budget.detected_db)
+    return rows
+
+
+def test_window_tradeoff_matches_the_per_window_oracle():
+    # both run the same math-module arithmetic per window, so they agree bit for bit
+    rng = np.random.default_rng(2021)
+    for _ in range(40):
+        source = SuperpositionSpec(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 2.0 * math.pi)))
+        emitter = EmitterParams.from_lifetime(float(10.0 ** rng.uniform(-10, -5)))
+        lo = float(10.0 ** rng.uniform(-3, 1))
+        windows = np.linspace(lo, lo * float(1.0 + 10.0 ** rng.uniform(-3, 2)), int(rng.integers(1, 500)))
+        eta_collection, eta_detector = (float(x) for x in rng.uniform(0.1, 1.0, size=2))
+        args = (source, eta_collection, emitter, windows * emitter.lifetime_tau, eta_detector)
+        rows, want = modes.window_tradeoff(*args), _per_window_tradeoff(*args)
+        assert rows.shape == want.shape
+        assert np.array_equal(rows.view(np.int64), want.view(np.int64))
+
+
 def test_window_tradeoff_validation():
     em = EmitterParams.from_lifetime(TAU)
     with pytest.raises(InvalidParameter):
