@@ -347,7 +347,11 @@ def _run_variance(params: dict, explicit: set) -> CommandOutput:
 def _run_jc_sweep(params: dict, explicit: set) -> CommandOutput:
     prep = AtomPrep(theta=params["theta"], phi=params["phi"])
     jc = JCParams(omega0=params["omega"], omega=params["omega"], coupling=params["coupling"])
-    rows = _transient_rows(prep, jc, params["t-max"], params["steps"])
+    t_max, steps = params["t-max"], params["steps"]
+    rows = _transient_rows(prep, jc, t_max, steps)
+    # a range holding fewer than `steps` doubles repeats a time
+    if not all(a[0] < b[0] for a, b in zip(rows, rows[1:])):
+        raise InvalidParameter(f"t-max {t_max!r} and steps {steps!r} give no strictly ascending time grid")
     return _table(1, ["t", "variance_x1", "variance_x2", "db_x1", "db_x2"], rows)
 
 

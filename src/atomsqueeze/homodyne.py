@@ -16,7 +16,8 @@ It is evaluated as one real matrix product per block of 4,096 points.
 an (n_max+1) x len(x) array of psi.  `phase_scan` computes the moments of
 each phase once, for both the support and the exact variance, and
 consecutive phases with equal supports (every n_max = 1 state has [-6, 6])
-share one grid and its list of psi blocks, (n_max+1) x 2^16 doubles.  The
+share one grid and its list of psi blocks, (n_max+1) x 2^16 doubles, and
+every phase tabulates into one marginal and one CDF buffer.  The
 arithmetic per block is the same either way.  The kernels rotate the
 matrix and never build a state: rho~ is read, not checked again.
 
@@ -25,14 +26,15 @@ Sampling inverts a trapezoid-tabulated CDF on a 2^16-point grid over
 X_phi: every n_max = 1 state keeps [-6, 6], and wider states (squeezed
 vacua at large cutoffs) get a support that holds their mass.  The tabulated
 mass must be 1 within 1e-6.  The inverse CDF is np.interp(u, cdf, x) bit
-for bit: below 8,192 draws it is np.interp itself; above, a guide table
+for bit: below 16,384 draws it is np.interp itself, on the sorted uniforms
+with each value put back in its uniform's place; above, a guide table
 (Chen & Asau 1974; Devroye 1986, sec. III.2) brackets each u, one step
 forward corrects most misses, and a slope table holding np.interp's own
-per-bracket division gives the chord.  So a seed gives the same samples
-as plain interpolation.  Randomness comes from numpy's counter-based
-Philox generator so sample streams are reproducible across platforms for
-a given seed; substreams for multi-phase scans are spawned through
-SeedSequence.
+per-bracket division gives the chord.  So a seed gives the same samples,
+in the same order, as plain interpolation.  Randomness comes from numpy's
+counter-based Philox generator so sample streams are reproducible across
+platforms for a given seed; substreams for multi-phase scans are spawned
+through SeedSequence.
 """
 
 __all__ = [
@@ -61,7 +63,7 @@ DENSITY_FLOOR = -1e-12  # marginal values below this mean a broken state
 _MARGINAL_BLOCK = 4096  # x points per psi block in the marginal
 _DRAW_CHUNK = 2**16  # uniforms per chunk of the inverse CDF
 _GUIDE_BINS = 2**16  # most guide-table bins
-_INTERP_MAX_DRAWS = 8192  # fewer draws than this go straight to np.interp
+_INTERP_MAX_DRAWS = 2**14  # fewer draws than this go to np.interp in ascending order
 
 
 def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -95,9 +97,9 @@ def _psi_blocks(n_max: int, xs: np.ndarray):
         yield hermite_functions(n_max, xs[start : start + _MARGINAL_BLOCK])
 
 
-def _marginal(rho: np.ndarray, blocks, size: int) -> np.ndarray:
-    """p(x) = sum_mn rho_mn psi_m(x) psi_n(x) for real rho, block by block."""
-    vals = np.empty(size)
+def _marginal(rho: np.ndarray, blocks, size: int, out=None) -> np.ndarray:
+    """p(x) = sum_mn rho_mn psi_m(x) psi_n(x) for real rho, block by block, into `out` if given."""
+    vals = np.empty(size) if out is None else out
     start = 0
     for psi in blocks:
         stop = start + psi.shape[1]
@@ -127,15 +129,15 @@ def _half_width(stats: fock.QuadratureStats) -> float:
     return max(MIN_HALF_WIDTH, abs(stats.mean) + SUPPORT_SIGMAS * math.sqrt(stats.variance))
 
 
-def _tabulate(state: fock.FockDensity, phi_lo: float, xs: np.ndarray, blocks) -> np.ndarray:
-    """Normalised trapezoid CDF of X_phi_lo on xs, from the psi `blocks` of xs."""
+def _tabulate(state: fock.FockDensity, phi_lo: float, xs: np.ndarray, blocks, p=None, cdf=None) -> np.ndarray:
+    """Normalised trapezoid CDF of X_phi_lo on xs, from the psi `blocks` of xs, in `p` and `cdf` if given."""
     rho = fock._rotated(state.matrix, phi_lo).real
-    p = _marginal(rho, blocks, xs.size)
+    p = _marginal(rho, blocks, xs.size, p)
     if not (np.min(p) >= DENSITY_FLOOR):
         raise InvalidState(f"marginal density reaches {float(np.min(p))!r} < {DENSITY_FLOOR}")
     # in place, in the order the out-of-place form took, so every bit is the same
     np.clip(p, 0.0, None, out=p)
-    cdf = np.empty(xs.size)
+    cdf = np.empty(xs.size) if cdf is None else cdf
     cdf[0] = 0.0
     trapezoids = cdf[1:]
     np.add(p[1:], p[:-1], out=trapezoids)
@@ -202,8 +204,11 @@ def detected_state(state: fock.FockDensity, eta_total: float) -> fock.FockDensit
 def _draw(xs: np.ndarray, cdf: np.ndarray, n: int, rng: "np.random.Generator") -> np.ndarray:
     """np.interp(rng.random(n), cdf, xs) bit for bit, for a CDF from 0 to 1.
 
-    Below _INTERP_MAX_DRAWS draws np.interp itself is the fastest.  Above,
-    the bracket of u is j, the last knot with cdf[j] <= u.  The guide table
+    The bracket of u is j, the last knot with cdf[j] <= u; the value depends
+    on u and j alone.  Below _INTERP_MAX_DRAWS draws np.interp is fastest on
+    ascending uniforms, whose bracket searches start at the last one instead
+    of missing cache across the 2^16-point CDF; the values go back to their
+    uniforms' places, so ties need no stable sort.  Above, the guide table
     holds the bracket of each bin edge b/bins, where bins is a power of two
     (so the edges are exact) no larger than n or 2^16 (so the table costs
     no more than the draws).  Every u in bin b has j >= guide[b].  Where u
@@ -216,7 +221,10 @@ def _draw(xs: np.ndarray, cdf: np.ndarray, n: int, rng: "np.random.Generator") -
     in place, one chunk at a time, so temporaries stay chunk-sized.
     """
     if n < _INTERP_MAX_DRAWS:
-        return np.interp(rng.random(n), cdf, xs)
+        u = rng.random(n)
+        order = np.argsort(u)
+        u[order] = np.interp(u[order], cdf, xs)
+        return u
     bins = min(_GUIDE_BINS, 1 << (int(n).bit_length() - 1))
     guide = np.searchsorted(cdf, np.arange(bins + 1) / bins, "right") - 1
     out = rng.random(n)
@@ -316,9 +324,10 @@ def phase_scan(
     require_int("n_samples", n_samples, 100)
     require_int("seed", seed, 0)
     streams = np.random.SeedSequence(seed).spawn(n_phases)
-    # consecutive phases with equal supports (every n_max = 1 state has
-    # [-6, 6]) share one grid and its psi blocks
+    # consecutive phases with equal supports (every n_max = 1 state has [-6, 6])
+    # share one grid and its psi blocks; every phase tabulates into one buffer pair
     half = basis = None
+    p, cdf = np.empty(CDF_POINTS), np.empty(CDF_POINTS)
     rows = np.empty((n_phases, 6))
     for k, phi in enumerate(np.linspace(0.0, 2.0 * math.pi, n_phases, endpoint=False)):
         stats = fock.quadrature_stats(lossy, phi)
@@ -326,7 +335,7 @@ def phase_scan(
         if w != half:
             half, xs = w, np.linspace(-w, w, CDF_POINTS)
             basis = list(_psi_blocks(lossy.n_max, xs))
-        cdf = _tabulate(lossy, phi, xs, basis)
+        _tabulate(lossy, phi, xs, basis, p, cdf)
         rng = np.random.Generator(np.random.Philox(streams[k]))
         est = estimate_variance(_draw(xs, cdf, n_samples, rng))
         rows[k] = (

@@ -539,6 +539,27 @@ def test_window_sweep_grid_that_does_not_ascend_exits_2_naming_its_flags(lifetim
         " give no strictly ascending grid of positive windows"
     )
 
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(("t_max", "steps"), [("5e-324", "5"), ("1e-320", "3000"), ("5e-324", "3")])
+def test_jc_sweep_time_grid_that_does_not_ascend_exits_2_naming_its_flags(t_max, steps, capsys):
+    # a range holding fewer doubles than steps repeats a time
+    assert cli.main(["jc-sweep", "--theta", "2", "--t-max", t_max, "--steps", steps]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: parameter: t-max {float(t_max)!r} and steps {steps} give no strictly ascending time grid\n"
+    )
+
+
+def test_jc_sweep_subnormal_time_grid_that_ascends_runs(capsys):
+    assert cli.main(["jc-sweep", "--theta", "2", "--t-max", "5e-324", "--steps", "2", "--format", "csv"]) == 0
+    assert [line.split(",")[0] for line in _csv_body(capsys.readouterr().out)] == ["t", "0.0", "5e-324"]
+    # the library sweep keeps its repeated times; only the command rejects them
+    rows = jc.transient_sweep(jc.AtomPrep(theta=2.0, phi=0.0), jc.JCParams(0.0, 0.0, 1.0), 5e-324, 5)
+    assert rows[:, 0].tolist() == [0.0, 0.0, 0.0, 5e-324, 5e-324]
+
+
 @pytest.mark.parametrize("command", ["budget", "window-sweep"])
 @pytest.mark.parametrize("value", ["-5", "0", "inf"])
 def test_lifetime_ns_out_of_domain_exits_2_naming_the_flag(command, value, capsys):

@@ -5,6 +5,7 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate
 from scipy.special import eval_hermite
 from scipy.stats import kstest, kstwobign
@@ -465,6 +466,85 @@ def test_draw_table_path_equals_np_interp_on_edge_uniforms():
     assert np.array_equal(_bits(got), _bits(np.interp(u, cdf, xs)))
 
 
+def _edge_cdf():
+    """The vacuum CDF with flat runs at 0 and inside, and a subnormal step."""
+    xs, cdf = homodyne.tabulated_cdf(VACUUM, 0.0)
+    cdf = cdf.copy()
+    cdf[:40] = 0.0
+    cdf[40] = 5e-324
+    cdf[30000:30020] = cdf[30000]
+    return xs, cdf
+
+
+def test_sorted_draw_equals_np_interp_on_duplicate_uniforms():
+    # tied uniforms sort in any order, and each still meets np.interp alone:
+    # 0.0, repeated exact knots (flat runs and the subnormal step among them)
+    # and repeated values between knots
+    xs, cdf = _edge_cdf()
+    rng = np.random.default_rng(6)
+    knots = cdf[rng.integers(0, cdf.size - 1, 500)]
+    u = np.concatenate([
+        np.zeros(50),
+        np.repeat(knots, 4),
+        np.full(30, cdf[30000]),
+        np.full(20, 5e-324),
+        np.repeat(np.nextafter(knots, 1.0), 2),
+        np.repeat(rng.random(500), 3),
+    ])
+    u = u[u < 1.0]
+    rng.shuffle(u)
+    assert u.size < homodyne._INTERP_MAX_DRAWS and np.unique(u).size < u.size
+    for n in (u.size, 100):
+        sub = u[:n]
+        got = homodyne._draw(xs, cdf, n, _FixedUniforms(sub))
+        assert np.array_equal(_bits(got), _bits(np.interp(sub, cdf, xs)))
+
+
+@pytest.mark.parametrize(("n", "sorted_path"), [(100, True), (10_000, True), (16_383, True), (16_384, False)])
+def test_np_interp_sees_ascending_uniforms_below_the_threshold(n, sorted_path, monkeypatch):
+    interp = np.interp
+    seen = []
+
+    def recording(u, cdf, xs):
+        seen.append(np.array(u))
+        return interp(u, cdf, xs)
+
+    xs, cdf = homodyne.tabulated_cdf(ONE_THIRD, 0.3)
+    monkeypatch.setattr(np, "interp", recording)
+    got = homodyne._draw(xs, cdf, n, np.random.Generator(np.random.Philox(4)))
+    monkeypatch.setattr(np, "interp", interp)
+    u = np.random.Generator(np.random.Philox(4)).random(n)
+    assert np.array_equal(_bits(got), _bits(interp(u, cdf, xs)))
+    if sorted_path:
+        [sorted_u] = seen
+        assert np.array_equal(sorted_u, np.sort(u))
+    else:
+        assert seen == []
+
+
+@settings(max_examples=60, deadline=None, database=None, derandomize=True)
+@given(
+    steps=st.lists(st.sampled_from([0.0, 5e-324, 1e-300]) | st.floats(0.0, 1.0), min_size=1, max_size=40),
+    free=st.lists(st.floats(0.0, 1.0, exclude_max=True), max_size=40),
+    size=st.sampled_from(["given", "below", "at", "above"]),
+)
+def test_draw_equals_np_interp_for_any_cdf(steps, free, size):
+    # a non-decreasing CDF from 0 to 1 (flat runs, subnormal steps) and
+    # uniforms free or on and just past its knots, through both branches
+    cdf = np.concatenate([[0.0], np.cumsum(steps)])
+    assume(cdf[-1] > 0.0)
+    cdf /= cdf[-1]
+    xs = np.linspace(-6.0, 6.0, cdf.size)
+    knots = cdf[cdf < 1.0]
+    u = np.concatenate([free, knots, np.nextafter(knots, 1.0)])
+    u = u[u < 1.0]
+    threshold = homodyne._INTERP_MAX_DRAWS
+    n = {"given": u.size, "below": threshold - 1, "at": threshold, "above": threshold + 7}[size]
+    u = np.resize(u, n)
+    got = homodyne._draw(xs, cdf, n, _FixedUniforms(u))
+    assert np.array_equal(_bits(got), _bits(np.interp(u, cdf, xs)))
+
+
 def test_vacuum_sampling_recovers_quarter_variance():
     run = HomodyneRun(state=VACUUM, phi_lo=0.0, eta_total=1.0, n_samples=200_000, seed=777)
     est = homodyne.estimate_variance(homodyne.sample_quadratures(run))
@@ -588,6 +668,23 @@ def test_phase_scan_equals_the_per_phase_oracle():
     n = homodyne._INTERP_MAX_DRAWS + 1
     got = homodyne.phase_scan(rho, 0.9, n, 12, 8)
     assert np.array_equal(_bits(got), _bits(_phase_scan_oracle(rho, 0.9, n, 12, 8)))
+
+
+def test_phase_scan_tabulates_every_phase_into_one_buffer_pair(monkeypatch):
+    seen = []
+    real = homodyne._tabulate
+
+    def recording(state, phi_lo, xs, blocks, p=None, cdf=None):
+        seen.append((p, cdf))
+        return real(state, phi_lo, xs, blocks, p, cdf)
+
+    monkeypatch.setattr(homodyne, "_tabulate", recording)
+    homodyne.phase_scan(ONE_THIRD, 0.9, 400, 11, 8)
+    assert len(seen) == 8 and len({(id(p), id(cdf)) for p, cdf in seen}) == 1
+    p, cdf = seen[0]
+    assert p.shape == cdf.shape == (homodyne.CDF_POINTS,) and not np.shares_memory(p, cdf)
+    # tabulated_cdf still hands each caller a CDF of its own
+    assert not np.shares_memory(homodyne.tabulated_cdf(ONE_THIRD, 0.3)[1], homodyne.tabulated_cdf(ONE_THIRD, 0.3)[1])
 
 
 def test_phase_scan_computes_the_moments_once_per_phase(monkeypatch):
