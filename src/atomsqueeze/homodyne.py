@@ -11,7 +11,14 @@ oscillator eigenfunctions in these units (vacuum variance 1/4)
     psi_0(x) = (2/pi)^{1/4} e^{-x^2},
     psi_n(x) = (2x/sqrt(n)) psi_{n-1}(x) - sqrt((n-1)/n) psi_{n-2}(x).
 
-It is evaluated as one real matrix product per block of 4,096 points.
+It is evaluated as one real matrix product per block of 4,096 points.  A
+squeezed vacuum has rho_mn = 0 for every odd m - n, and loss and the phase
+rotation keep those zeros; for such a rho the product is two, on the even
+and the odd Fock block, written into the two row-strided halves of one
+product array.  That halves the multiplications, and the skipped products
+are exact zeros, which OpenBLAS's SkylakeX dgemm kernel adds without
+rounding, so the bits are those of the full product (its Haswell kernel
+sums in another order, and there the two agree to round-off only).
 `tabulated_cdf` computes each psi block as it needs it, so it never holds
 an (n_max+1) x len(x) array of psi.  `phase_scan` computes the moments of
 each phase once, for both the support and the exact variance, and
@@ -97,13 +104,27 @@ def _psi_blocks(n_max: int, xs: np.ndarray):
         yield hermite_functions(n_max, xs[start : start + _MARGINAL_BLOCK])
 
 
+def _parity_product(rho: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """rho @ psi for a rho whose odd-offset blocks are zero, from its even and odd Fock blocks."""
+    prod = np.empty(psi.shape)
+    np.matmul(rho[0::2, 0::2], psi[0::2], out=prod[0::2])
+    np.matmul(rho[1::2, 1::2], psi[1::2], out=prod[1::2])
+    return prod
+
+
 def _marginal(rho: np.ndarray, blocks, size: int, out=None) -> np.ndarray:
-    """p(x) = sum_mn rho_mn psi_m(x) psi_n(x) for real rho, block by block, into `out` if given."""
+    """p(x) = sum_mn rho_mn psi_m(x) psi_n(x) for real rho, block by block, into `out` if given.
+
+    Where rho_mn is zero for every odd m - n, rho @ psi is two products on
+    the even and the odd Fock block; the terms they skip are exact zeros.
+    """
     vals = np.empty(size) if out is None else out
+    split = not (rho[0::2, 1::2].any() or rho[1::2, 0::2].any())
     start = 0
     for psi in blocks:
         stop = start + psi.shape[1]
-        vals[start:stop] = np.einsum("mx,mx->x", psi, rho @ psi)
+        # the product is a temporary, freed before the next psi block is built
+        vals[start:stop] = np.einsum("mx,mx->x", psi, _parity_product(rho, psi) if split else rho @ psi)
         start = stop
     return vals
 
@@ -254,13 +275,21 @@ def sample_quadratures(run: HomodyneRun) -> np.ndarray:
     return _draw(xs, cdf, run.n_samples, rng)
 
 
+def _sample_array(samples) -> np.ndarray:
+    """samples as a float array; any shape but 1-D raises InvalidParameter naming it."""
+    x = np.asarray(samples, dtype=float)
+    if x.ndim != 1:
+        raise InvalidParameter(f"samples must be a 1-D array, got shape {x.shape}")
+    return x
+
+
 def estimate_variance(samples: np.ndarray) -> VarianceEstimate:
     """Unbiased variance with standard error from the 4th central moment.
 
     se^2 = (m4 - s^4 (n-3)/(n-1)) / n; the normal-theory value
     sqrt(2 s^4 / n) is reported alongside for comparison.
     """
-    x = np.asarray(samples, dtype=float)
+    x = _sample_array(samples)
     n = x.size
     if n < 2:
         raise InvalidParameter(f"variance needs >= 2 samples, got {n}")
@@ -293,7 +322,7 @@ def estimate_variance(samples: np.ndarray) -> VarianceEstimate:
 
 def ks_statistic(samples: np.ndarray, xs: np.ndarray, cdf: np.ndarray) -> float:
     """Kolmogorov-Smirnov distance between samples and a tabulated CDF."""
-    x = np.sort(np.asarray(samples, dtype=float))
+    x = np.sort(_sample_array(samples))
     n = x.size
     if n == 0:
         raise InvalidParameter("KS statistic needs at least one sample")

@@ -64,24 +64,52 @@ class WignerGrid:
 
 
 def _displacement_kernel(rho: np.ndarray, alpha: np.ndarray) -> np.ndarray:
-    """(2/pi) sum_{mn} rho_{mn} (-1)^m <n|D(2 alpha)|m>, real part, in O(grid) memory."""
+    """(2/pi) sum_{mn} rho_{mn} (-1)^m <n|D(2 alpha)|m>, real part, in O(grid) memory.
+
+    The recurrence updates work arrays allocated once per call, with the
+    operations of the plain expressions in their order.  A diagonal with real
+    coefficients (every diagonal of a squeezed vacuum, lossy or not)
+    accumulates in float64 and adds front.real * acc: the complex sum's
+    imaginary terms would all be +-0 and w starts at +0, so the bits are
+    those of the complex sum.  Complex buffers are made only when needed.
+    """
     dim = rho.shape[0]
     b = 2.0 * alpha
     x = (b * b.conj()).real
-    front = np.exp(-0.5 * x)  # b^d e^{-|b|^2/2} / sqrt(d!) on diagonal d
+    front = np.exp(-0.5 * x).astype(complex)  # b^d e^{-|b|^2/2} / sqrt(d!) on diagonal d
     w = np.zeros(alpha.shape)
+    prev, cur, t = (np.empty(x.shape) for _ in range(3))
+    real_buffers, complex_buffers = (np.empty(x.shape), np.empty(x.shape)), None
     for d in range(dim):
         coeffs = np.diagonal(rho, d) * (-1.0) ** np.arange(dim - d)
         if coeffs.any():
+            real = not coeffs.imag.any()
+            if real:
+                coeffs, (acc, term) = coeffs.real, real_buffers
+            else:
+                complex_buffers = complex_buffers or (np.empty(x.shape, complex), np.empty(x.shape, complex))
+                acc, term = complex_buffers
             # l_m = sqrt(m! d! / (m + d)!) L_m^{(d)}(x): l_0 = 1 and
             # l_m = [(2m - 1 + d - x) l_{m-1} - sqrt((m - 1)(m - 1 + d)) l_{m-2}] / sqrt(m (m + d))
-            prev, cur, acc = 0.0, np.ones(x.shape), np.full(x.shape, coeffs[0])
+            prev.fill(0.0)
+            cur.fill(1.0)
+            acc.fill(coeffs[0])
             for m in range(1, dim - d):
-                prev, cur = cur, (2 * m - 1 + d - x) * cur - math.sqrt((m - 1) * (m - 1 + d)) * prev
-                cur /= math.sqrt(m * (m + d))
-                acc += coeffs[m] * cur
-            w += (1.0 if d == 0 else 2.0) * (front * acc).real
-        front = front * b / math.sqrt(d + 1)
+                np.subtract(2 * m - 1 + d, x, out=t)
+                t *= cur
+                prev *= math.sqrt((m - 1) * (m - 1 + d))
+                np.subtract(t, prev, out=prev)
+                prev /= math.sqrt(m * (m + d))
+                prev, cur = cur, prev
+                np.multiply(coeffs[m], cur, out=term)
+                acc += term
+            np.multiply(front.real if real else front, acc, out=acc)
+            part = acc.real
+            if d > 0:
+                part *= 2.0
+            w += part
+        front *= b
+        front /= math.sqrt(d + 1)
     return (2.0 / math.pi) * w
 
 

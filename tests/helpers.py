@@ -6,6 +6,7 @@ agreement with the package is a genuine cross-check, not a tautology.
 """
 
 import math
+import tracemalloc
 
 import numpy as np
 
@@ -57,3 +58,21 @@ def ensemble_quadrature(weights, vecs, phi_lo: float) -> tuple[float, float]:
         mean += w * m
         second += w * (var + m * m)
     return mean, second - mean * mean
+
+
+# Python's own small objects move a call's traced peak by tens of bytes from
+# one layout of the code to another; an array kept alive too long moves it
+# by tens of KiB (a Fock block of rho at n_max = 100) to MiB (a product block).
+PEAK_SLACK_BYTES = 1024
+
+
+def traced_peak(call) -> int:
+    """Bytes of the tracemalloc peak above the start of one call, after a warm-up call."""
+    call()
+    tracemalloc.start()
+    try:
+        start, _ = tracemalloc.get_traced_memory()
+        call()
+        return tracemalloc.get_traced_memory()[1] - start
+    finally:
+        tracemalloc.stop()

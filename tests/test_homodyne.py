@@ -15,7 +15,7 @@ from atomsqueeze.errors import DegenerateData, InvalidParameter, InvalidState
 from atomsqueeze.homodyne import HomodyneRun, VarianceEstimate
 from atomsqueeze.superposition import SuperpositionSpec
 
-from helpers import random_mixture
+from helpers import PEAK_SLACK_BYTES, random_mixture, traced_peak
 
 VACUUM = fock.to_density(fock.make_fock_vector([1.0]))
 ONE_THIRD = fock.to_density(superposition.make_superposition(SuperpositionSpec(math.sqrt(1.0 / 3.0), 0.0)))
@@ -145,6 +145,53 @@ def test_marginal_matches_einsum_oracle(n_max):
     for phi_lo in (0.0, 1.3):
         got = homodyne.marginal_density(rho, phi_lo)(x)
         assert np.max(np.abs(got - _einsum_marginal(rho, phi_lo, x))) < 1e-13
+
+
+def _lossy_squeezed_vacuum(n_max):
+    return fock.apply_loss(fock.to_density(superposition.squeezed_vacuum(0.75, n_max)[0]), 0.7)
+
+
+@pytest.mark.parametrize("n_max", [20, 52, 100])
+def test_parity_split_marginal_equals_the_full_product_bit_for_bit(n_max, monkeypatch):
+    # bit for bit under OpenBLAS's SkylakeX dgemm kernel, which the goldens are
+    # pinned to; its Haswell kernel sums in another order (ROADMAP item 1)
+    calls = []
+    split = homodyne._parity_product
+    monkeypatch.setattr(homodyne, "_parity_product", lambda rho, psi: calls.append(1) or split(rho, psi))
+    state = _lossy_squeezed_vacuum(n_max)
+    xs = np.linspace(-9.0, 9.0, 3 * homodyne._MARGINAL_BLOCK + 5)
+    blocks = list(homodyne._psi_blocks(n_max, xs))
+    for phi in (0.0, 0.4, math.pi / 2.0, 2.9):
+        rho = fock._rotated(state.matrix, phi).real
+        full = np.concatenate([np.einsum("mx,mx->x", psi, rho @ psi) for psi in blocks])
+        got = homodyne._marginal(rho, blocks, xs.size)
+        assert np.array_equal(got.view(np.int64), full.view(np.int64))
+    assert len(calls) == 4 * len(blocks)
+
+
+def test_one_odd_offset_entry_takes_the_full_product(monkeypatch):
+    def refuse(rho, psi):
+        raise AssertionError("a rho with an odd-offset entry took the parity split")
+
+    rho = fock._rotated(_lossy_squeezed_vacuum(20).matrix, 0.4).real.copy()
+    xs = np.linspace(-6.0, 6.0, 257)
+    psi = homodyne.hermite_functions(20, xs)
+    monkeypatch.setattr(homodyne, "_parity_product", refuse)
+    for m, n in ((3, 0), (0, 3), (20, 19)):
+        odd = rho.copy()
+        odd[m, n] = 1e-300
+        got = homodyne._marginal(odd, [psi], xs.size)
+        assert np.array_equal(got.view(np.int64), np.einsum("mx,mx->x", psi, odd @ psi).view(np.int64))
+
+
+# the traced peak of one n_max = 100 tabulated_cdf call when rho @ psi was one product
+FULL_PRODUCT_CDF_PEAK_BYTES = 7_898_184
+
+
+def test_parity_split_tabulation_peaks_no_higher_than_the_full_product():
+    state = _lossy_squeezed_vacuum(100)
+    peak = traced_peak(lambda: homodyne.tabulated_cdf(state, 0.0))
+    assert peak <= FULL_PRODUCT_CDF_PEAK_BYTES + PEAK_SLACK_BYTES
 
 
 def test_marginal_never_sees_more_than_one_block(monkeypatch):
@@ -330,6 +377,30 @@ def test_estimate_variance_matches_separate_passes():
         var = float(np.var(x, ddof=1))
         old = math.sqrt(max(0.0, (m4 - var * var * (n - 3.0) / (n - 1.0)) / n))
         assert abs(est.std_error_of_var - old) <= 1e-12 * old
+
+
+@pytest.mark.parametrize("shape", [(2, 2), (3, 5), (4, 1), (1, 4), ()])
+def test_estimators_reject_samples_that_are_not_1d(shape):
+    samples = np.arange(1.0, 1.0 + math.prod(shape)).reshape(shape)
+    xs, cdf = homodyne.tabulated_cdf(VACUUM, 0.0)
+    for estimator in (homodyne.estimate_variance, lambda x: homodyne.ks_statistic(x, xs, cdf)):
+        with pytest.raises(InvalidParameter, match=re.escape(f"got shape {shape}")):
+            estimator(samples)
+
+
+def test_estimators_keep_the_bits_of_1d_samples():
+    x = 3.0 + np.random.default_rng(77).standard_t(5, size=1001)
+    est = homodyne.estimate_variance(list(x))
+    mean = float(np.mean(x))
+    d2 = (x - mean) ** 2
+    var = float(d2.sum() / 1000)
+    m4 = float(np.dot(d2, d2) / 1001)
+    assert (est.mean_hat, est.var_hat) == (mean, var)
+    assert est.std_error_of_var == math.sqrt(max(0.0, (m4 - var * var * 998.0 / 1000.0) / 1001))
+    xs, cdf = homodyne.tabulated_cdf(ONE_THIRD, 0.0)
+    f = np.interp(np.sort(x - 3.0), xs, cdf)
+    i = np.arange(1, x.size + 1)
+    assert homodyne.ks_statistic(tuple(x - 3.0), xs, cdf) == float(max(np.max(i / x.size - f), np.max(f - (i - 1) / x.size)))
 
 
 def test_estimate_variance_error_paths():

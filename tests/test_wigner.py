@@ -11,6 +11,8 @@ from atomsqueeze import fock, superposition, wigner
 from atomsqueeze.errors import InvalidParameter, InvalidState
 from atomsqueeze.superposition import SuperpositionSpec
 
+from helpers import PEAK_SLACK_BYTES, traced_peak
+
 TWO_OVER_PI = 2.0 / math.pi
 
 ONE_THIRD_SPEC = SuperpositionSpec(beta_abs=math.sqrt(1.0 / 3.0), rel_phase=0.0)
@@ -69,6 +71,85 @@ def _laguerre_kernel(rho, alpha):
             knm = (-1.0) ** m * scale * b ** (n - m) * env * eval_genlaguerre(m, n - m, b2)
             w += 2.0 * (rho[m, n] * knm).real
     return TWO_OVER_PI * w
+
+
+def _complex_accumulation_kernel(rho, alpha):
+    """The kernel as it was before its real and in-place arithmetic: the same
+    recurrence, a fresh complex array per step, and the complex sum."""
+    dim = rho.shape[0]
+    b = 2.0 * alpha
+    x = (b * b.conj()).real
+    front = np.exp(-0.5 * x)
+    w = np.zeros(alpha.shape)
+    for d in range(dim):
+        coeffs = np.diagonal(rho, d) * (-1.0) ** np.arange(dim - d)
+        if coeffs.any():
+            prev, cur, acc = 0.0, np.ones(x.shape), np.full(x.shape, coeffs[0])
+            for m in range(1, dim - d):
+                prev, cur = cur, (2 * m - 1 + d - x) * cur - math.sqrt((m - 1) * (m - 1 + d)) * prev
+                cur /= math.sqrt(m * (m + d))
+                acc += coeffs[m] * cur
+            w += (1.0 if d == 0 else 2.0) * (front * acc).real
+        front = front * b / math.sqrt(d + 1)
+    return TWO_OVER_PI * w
+
+
+def _kernel_oracle_states():
+    """(name, rho): n1 states at two relative phases, squeezed vacua with and
+    without loss, and one with a single complex off-diagonal pair."""
+    for rel in (0.0, 1.0):
+        spec = SuperpositionSpec(beta_abs=0.5, rel_phase=rel)
+        yield f"n1-rel{rel}", fock.to_density(superposition.make_superposition(spec)).matrix
+    for n_max in (20, 52, 100):
+        pure = fock.to_density(superposition.squeezed_vacuum(0.75, n_max)[0])
+        yield f"sq-n{n_max}", pure.matrix
+        yield f"sq-n{n_max}-lossy", fock.apply_loss(pure, 0.7).matrix
+    rho = fock.apply_loss(fock.to_density(superposition.squeezed_vacuum(1.0, 20)[0]), 0.7).matrix.copy()
+    rho[3, 1] += 0.01j
+    rho[1, 3] -= 0.01j
+    yield "sq-n20-one-complex-pair", rho
+
+
+def _grid(res, x1=(-4.0, 4.0), x2=(-4.0, 4.0)):
+    return np.linspace(*x1, res)[:, None] + 1j * np.linspace(*x2, res)[None, :]
+
+
+@pytest.mark.parametrize(
+    "alpha",
+    [_grid(41), _grid(201), _grid(37, (-1.3, 2.9), (0.4, 3.1))],
+    ids=["41x41", "201x201", "off-centre"],
+)
+def test_kernel_equals_the_complex_accumulation_bit_for_bit(alpha):
+    for name, rho in _kernel_oracle_states():
+        got = wigner._displacement_kernel(rho, alpha)
+        assert np.array_equal(got.view(np.int64), _complex_accumulation_kernel(rho, alpha).view(np.int64)), name
+
+
+def test_kernel_allocates_complex_buffers_only_for_a_complex_diagonal(monkeypatch):
+    made = []
+    real_empty = np.empty
+
+    def recording(shape, dtype=float):
+        made.append(np.dtype(dtype))
+        return real_empty(shape, dtype)
+
+    monkeypatch.setattr(wigner.np, "empty", recording)
+    states = dict(_kernel_oracle_states())
+    alpha = _grid(17)
+    for name, complex_buffers in (("sq-n20-lossy", 0), ("n1-rel0.0", 0), ("n1-rel1.0", 2)):
+        made.clear()
+        wigner._displacement_kernel(states[name], alpha)
+        assert sum(dt.kind == "c" for dt in made) == complex_buffers, name
+
+
+# the traced peak of one n_max = 100 41 x 41 wigner_of_state call under the complex accumulation
+COMPLEX_ACCUMULATION_PEAK_BYTES = 233_832
+
+
+def test_wigner_peaks_no_higher_than_the_complex_accumulation():
+    state = fock.apply_loss(fock.to_density(superposition.squeezed_vacuum(0.75, 100)[0]), 0.7)
+    peak = traced_peak(lambda: wigner.wigner_of_state(state, resolution=41))
+    assert peak <= COMPLEX_ACCUMULATION_PEAK_BYTES + PEAK_SLACK_BYTES
 
 
 # -------------------------------------------------------------------- values
