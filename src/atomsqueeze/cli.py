@@ -24,6 +24,7 @@ import sys
 from array import array
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
+from functools import partial
 
 from . import __version__
 from .closed_forms import AtomPrep, JCParams, SuperpositionSpec, _linspace, _transient_rows
@@ -56,74 +57,91 @@ _CHUNK_ROWS = 16_384  # CSV rows per write
 
 @dataclass(frozen=True)
 class Param:
-    """One tunable of a subcommand; `name` is both the flag and the config key."""
+    """One tunable of a subcommand; `name` is both the flag and the config key.
+
+    `domain` is an errors guard, called as domain(name, value) on each value a
+    flag or the config file sets, so that a value outside it exits 2 under the
+    flag's name before any handler runs.
+    """
 
     name: str
     type: type
     default: object = _REQUIRED
     help: str = ""
     cap: int | None = None  # largest accepted value of a size input
+    domain: "Callable | None" = None
 
     @property
     def required(self) -> bool:
         return self.default is _REQUIRED
 
 
-_BETA = Param("beta", float, help="one-photon amplitude |beta| of the source state")
-_PHI = Param("phi", float, 0.0, help="relative phase of the one-photon amplitude")
-_ETA = Param("eta", float, 1.0, help="total detection efficiency")
-_SEED = Param("seed", int, help="RNG seed (required for stochastic commands)")
+# the domains, each the library's guard on the value the handler feeds it
+_UNIT = partial(require_in, lo=0, hi=1)  # an efficiency or |beta|
+_POSITIVE = partial(require_in, lo=0, open_lo=True)  # finite and > 0
+_ANGLE = partial(require_in, lo=0, hi=math.tau, open_hi=True)  # [0, 2 pi)
+
+
+def _least(least: int) -> partial:
+    return partial(require_int, least=least)
+
+
+_BETA = Param("beta", float, help="one-photon amplitude |beta| of the source state", domain=_UNIT)
+_PHI = Param("phi", float, 0.0, help="relative phase of the one-photon amplitude", domain=require_finite)
+_ETA = Param("eta", float, 1.0, help="total detection efficiency", domain=_UNIT)
+_SEED = Param("seed", int, help="RNG seed (required for stochastic commands)", domain=_least(0))
 _BUDGET_SOURCE = (
-    Param("collection", float, help="collection efficiency into the LO spatial mode"),
+    Param("collection", float, help="collection efficiency into the LO spatial mode", domain=_UNIT),
     Param("preset", str, "custom", help="emitter preset name, or 'custom'"),
-    Param("lifetime-ns", float, 230.0, help="emitter lifetime in nanoseconds"),
-    Param("beta", float, 0.5, help="one-photon amplitude of the source"),
-    Param("rel-phase", float, 0.0, help="relative phase of the source"),
-    Param("detector", float, 1.0, help="detector quantum efficiency"),
+    Param("lifetime-ns", float, 230.0, help="emitter lifetime in nanoseconds", domain=_POSITIVE),
+    Param("beta", float, 0.5, help="one-photon amplitude of the source", domain=_UNIT),
+    Param("rel-phase", float, 0.0, help="relative phase of the source", domain=require_finite),
+    Param("detector", float, 1.0, help="detector quantum efficiency", domain=_UNIT),
 )
 
 SCHEMAS: dict[str, list[Param]] = {
     "variance": [_BETA, _PHI],
     "jc-sweep": [
-        Param("theta", float, help="atom preparation polar angle"),
-        Param("phi", float, 0.0, help="atom preparation azimuthal phase"),
-        Param("coupling", float, 1.0, help="atom-field coupling rate"),
-        Param("omega", float, 0.0, help="resonant angular frequency (0 = rotating frame)"),
-        Param("t-max", float, help="sweep end time"),
-        Param("steps", int, 200, help="number of grid points", cap=MAX_STEPS),
+        Param("theta", float, help="atom preparation polar angle", domain=_ANGLE),
+        Param("phi", float, 0.0, help="atom preparation azimuthal phase", domain=_ANGLE),
+        Param("coupling", float, 1.0, help="atom-field coupling rate", domain=_POSITIVE),
+        Param("omega", float, 0.0, help="resonant angular frequency (0 = rotating frame)",
+              domain=partial(require_in, lo=0)),
+        Param("t-max", float, help="sweep end time", domain=_POSITIVE),
+        Param("steps", int, 200, help="number of grid points", cap=MAX_STEPS, domain=_least(2)),
     ],
     "wigner": [
         _BETA,
         _PHI,
         Param("range", float, 4.0, help="half-width R of the [-R, R]^2 grid"),
-        Param("res", int, 201, help="points per axis", cap=MAX_RES),
+        Param("res", int, 201, help="points per axis", cap=MAX_RES, domain=_least(16)),
     ],
     "homodyne": [
         _BETA,
         _PHI,
         Param("lo-phase", float, 0.0, help="local oscillator phase"),
         _ETA,
-        Param("samples", int, help="number of Monte Carlo samples", cap=MAX_SAMPLES),
+        Param("samples", int, help="number of Monte Carlo samples", cap=MAX_SAMPLES, domain=_least(100)),
         _SEED,
     ],
     "phase-scan": [
         _BETA,
         _PHI,
         _ETA,
-        Param("samples", int, 2000, help="samples per phase", cap=MAX_SAMPLES),
-        Param("n-phases", int, 16, help="number of LO phases on [0, 2*pi)", cap=MAX_PHASES),
+        Param("samples", int, 2000, help="samples per phase", cap=MAX_SAMPLES, domain=_least(100)),
+        Param("n-phases", int, 16, help="number of LO phases on [0, 2*pi)", cap=MAX_PHASES, domain=_least(4)),
         _SEED,
     ],
     "budget": [
         *_BUDGET_SOURCE,
-        Param("lo-rate-factor", float, 1.0, help="LO amplitude decay rate in units of gamma/2"),
+        Param("lo-rate-factor", float, 1.0, help="LO amplitude decay rate in units of gamma/2", domain=_POSITIVE),
         Param("window-lifetimes", float, math.inf, help="LO window in lifetimes (inf = untruncated)"),
     ],
     "window-sweep": [
         *_BUDGET_SOURCE,
-        Param("min-lifetimes", float, 0.5, help="shortest LO window in lifetimes"),
-        Param("max-lifetimes", float, 10.0, help="longest LO window in lifetimes"),
-        Param("steps", int, 20, help="number of windows", cap=MAX_STEPS),
+        Param("min-lifetimes", float, 0.5, help="shortest LO window in lifetimes", domain=_POSITIVE),
+        Param("max-lifetimes", float, 10.0, help="longest LO window in lifetimes", domain=_POSITIVE),
+        Param("steps", int, 20, help="number of windows", cap=MAX_STEPS, domain=_least(2)),
     ],
 }
 
@@ -210,6 +228,8 @@ def resolve_params(command: str, config_values: dict[str, str], cli_values: dict
             raise InvalidParameter(f"parameter {p.name!r} is NaN")
         if p.cap is not None and value > p.cap:
             raise InvalidParameter(f"parameter {p.name!r} is {value!r}, above its cap of {p.cap}")
+        if p.domain is not None:
+            p.domain(p.name, value)
         resolved[p.name] = value
         explicit.add(p.name)
     if {"samples", "n-phases"} <= resolved.keys():
@@ -324,7 +344,6 @@ def _emitter(params: dict, explicit: set) -> "modes.EmitterParams":
         if "lifetime-ns" in explicit:
             raise InvalidParameter("give either a preset or an explicit lifetime, not both")
         return modes.EmitterParams.from_preset(params["preset"])
-    require_in("lifetime-ns", params["lifetime-ns"], 0, open_lo=True)
     return modes.EmitterParams.from_lifetime(params["lifetime-ns"] * 1e-9)
 
 
@@ -437,7 +456,6 @@ def _run_budget(params: dict, explicit: set) -> CommandOutput:
     if window != math.inf and window <= 0.0:
         raise InvalidParameter(f"window-lifetimes must be > 0, got {window!r}")
     # each product is checked under its flag's name, as it over- or underflows without a warning
-    require_in("lo-rate-factor", params["lo-rate-factor"], 0, open_lo=True)
     rate = params["lo-rate-factor"] * emitter.gamma_rate / 2.0
     require_in("lo-rate-factor x gamma/2", rate, 0, open_lo=True)
     if window != math.inf:
@@ -476,11 +494,9 @@ def _run_window_sweep(params: dict, explicit: set) -> CommandOutput:
     emitter = _emitter(params, explicit)
     spec = _source_spec(params, "rel-phase")
     steps = params["steps"]
-    require_int("steps", steps, 2)
-    # each bound, and its window in seconds, is checked under its flag's name;
+    # each bound's window in seconds is checked under its flag's name;
     # a float product overflows to inf without a warning
     for name in ("min-lifetimes", "max-lifetimes"):
-        require_in(name, params[name], 0, open_lo=True)
         require_finite(f"{name} x lifetime", params[name] * emitter.lifetime_tau)
     lo, hi = params["min-lifetimes"], params["max-lifetimes"]
     if not lo < hi:

@@ -106,10 +106,11 @@ def squeezing_region(spec: SuperpositionSpec) -> bool:
 
 
 def _linspace(a: float, b: float, n: int) -> list[float]:
-    """np.linspace(a, b, n) for n >= 2, bit for bit: i * step + a, the last point b.
+    """np.linspace(a, b, n) for an integer n >= 2, bit for bit: i * step + a, the last point b.
 
     A step that underflows to 0 takes numpy's other branch, (i / div) * delta + a.
     """
+    require_int("n", n, 2)
     div = n - 1
     delta = b - a
     step = delta / div

@@ -74,16 +74,17 @@ _INTERP_MAX_DRAWS = 2**14  # fewer draws than this go to np.interp in ascending 
 
 
 def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
-    """Oscillator eigenfunctions psi_0 .. psi_n_max on x, shape (n_max+1, len(x)).
+    """Oscillator eigenfunctions psi_0 .. psi_n_max on x, shape (n_max+1, *x.shape).
 
     Upward recurrence on the normalized functions; stable for every
-    truncation used in this package.  Each row is written in place from
-    one work row, with the operations of
-    (2x / sqrt(n)) psi_{n-1} - sqrt((n-1)/n) psi_{n-2} in that order, so
-    the values are those of the plain expression, bit for bit.
+    truncation used in this package.  It runs on x flattened, so x may have
+    any shape.  Each row is written in place from one work row, with the
+    operations of (2x / sqrt(n)) psi_{n-1} - sqrt((n-1)/n) psi_{n-2} in
+    that order, so the values are those of the plain expression, bit for bit.
     """
     require_int("n_max", n_max, 0)
     x = np.asarray(x, dtype=float)
+    shape, x = x.shape, x.ravel()
     out = np.empty((n_max + 1, x.size))
     out[0] = (2.0 / math.pi) ** 0.25 * np.exp(-(x**2))
     if n_max >= 1:
@@ -95,7 +96,7 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
             t *= out[n - 1]
             np.multiply(out[n - 2], math.sqrt((n - 1.0) / n), out=out[n])
             np.subtract(t, out[n], out=out[n])
-    return out
+    return out.reshape(n_max + 1, *shape)
 
 
 def _psi_blocks(n_max: int, xs: np.ndarray):
@@ -130,17 +131,22 @@ def _marginal(rho: np.ndarray, blocks, size: int, out=None) -> np.ndarray:
 
 
 def marginal_density(state: fock.FockDensity, phi_lo: float):
-    """Probability density of X_phi_lo as a callable of x (scalar or array)."""
+    """Probability density of X_phi_lo as a callable of x.
+
+    A scalar x gives a numpy float, and an array of any shape gives the
+    density at each of its points, in x's shape.
+    """
     # Im rho is antisymmetric for Hermitian rho, so only Re rho contributes
     rho = fock._rotated(state.matrix, phi_lo).real
     n_max = rho.shape[0] - 1
 
     def density(x):
-        xs = np.atleast_1d(np.asarray(x, dtype=float))
+        x = np.asarray(x, dtype=float)
+        xs = x.ravel()
         if not np.all(np.isfinite(xs)):  # checked before hermite_functions turns them into NaN
             raise InvalidParameter(f"marginal density needs finite x, got {float(xs[~np.isfinite(xs)][0])!r}")
         vals = _marginal(rho, _psi_blocks(n_max, xs), xs.size)
-        return vals[0] if np.isscalar(x) or np.ndim(x) == 0 else vals
+        return vals[0] if x.ndim == 0 else vals.reshape(x.shape)
 
     return density
 
@@ -275,12 +281,16 @@ def sample_quadratures(run: HomodyneRun) -> np.ndarray:
     return _draw(xs, cdf, run.n_samples, rng)
 
 
-def _sample_array(samples) -> np.ndarray:
-    """samples as a float array; any shape but 1-D raises InvalidParameter naming it."""
-    x = np.asarray(samples, dtype=float)
+def _real_vector(values, name: str = "samples") -> np.ndarray:
+    """values as a 1-D float array.  A dtype that is not bool, integer or
+    float (complex, str, object) raises InvalidParameter before any cast, and
+    so does any shape but 1-D; float64 input keeps its bits."""
+    x = np.asarray(values)
+    if x.dtype.kind not in "biuf":
+        raise InvalidParameter(f"{name} must be real numbers, got dtype {x.dtype}")
     if x.ndim != 1:
-        raise InvalidParameter(f"samples must be a 1-D array, got shape {x.shape}")
-    return x
+        raise InvalidParameter(f"{name} must be a 1-D array, got shape {x.shape}")
+    return x.astype(float, copy=False)
 
 
 def estimate_variance(samples: np.ndarray) -> VarianceEstimate:
@@ -289,7 +299,7 @@ def estimate_variance(samples: np.ndarray) -> VarianceEstimate:
     se^2 = (m4 - s^4 (n-3)/(n-1)) / n; the normal-theory value
     sqrt(2 s^4 / n) is reported alongside for comparison.
     """
-    x = _sample_array(samples)
+    x = _real_vector(samples)
     n = x.size
     if n < 2:
         raise InvalidParameter(f"variance needs >= 2 samples, got {n}")
@@ -321,8 +331,11 @@ def estimate_variance(samples: np.ndarray) -> VarianceEstimate:
 
 
 def ks_statistic(samples: np.ndarray, xs: np.ndarray, cdf: np.ndarray) -> float:
-    """Kolmogorov-Smirnov distance between samples and a tabulated CDF."""
-    x = np.sort(_sample_array(samples))
+    """Kolmogorov-Smirnov distance between samples and a tabulated CDF.
+
+    xs and cdf are 1-D of one length, xs ascends strictly and cdf is finite.
+    """
+    x = np.sort(_real_vector(samples))
     n = x.size
     if n == 0:
         raise InvalidParameter("KS statistic needs at least one sample")
@@ -330,6 +343,13 @@ def ks_statistic(samples: np.ndarray, xs: np.ndarray, cdf: np.ndarray) -> float:
     # passes every "ks >= critical" check
     if not np.all(np.isfinite(x)):
         raise InvalidParameter("KS statistic needs finite samples")
+    xs, cdf = _real_vector(xs, "xs"), _real_vector(cdf, "cdf")
+    if xs.size != cdf.size:
+        raise InvalidParameter(f"xs and cdf must have one length, got {xs.size} and {cdf.size}")
+    if not (xs.size > 0 and np.all(np.diff(xs) > 0.0)):  # NaN fails the test
+        raise InvalidParameter("xs must be a non-empty, strictly ascending grid")
+    if not np.all(np.isfinite(cdf)):  # np.interp would carry a NaN into the distance
+        raise InvalidParameter("cdf must be finite")
     f = np.interp(x, xs, cdf)
     i = np.arange(1, n + 1)
     return float(max(np.max(i / n - f), np.max(f - (i - 1) / n)))

@@ -127,6 +127,8 @@ class TemporalMode:
         import numpy as np  # the closed forms never sample the envelope, so numpy stays out of a `budget` run
 
         ts = np.asarray(t, dtype=float)
+        if np.isnan(ts).any():  # a NaN fails both window comparisons, which would read it as 0
+            raise InvalidParameter("amplitude time t must not be NaN")
         vals = np.where(
             (ts >= 0.0) & (ts <= self.window),
             self._front * np.exp(-self.rate * ts),

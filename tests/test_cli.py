@@ -14,8 +14,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from atomsqueeze import cli, fock, homodyne, jaynes_cummings as jc, modes, wigner
-from atomsqueeze.errors import DegenerateData, InvalidParameter, InvalidState, NotSupported
+from atomsqueeze import cli, fock, homodyne, jaynes_cummings as jc, modes, superposition, wigner
+from atomsqueeze.closed_forms import SuperpositionSpec, _linspace, _transient_rows
+from atomsqueeze.errors import AtomSqueezeError, DegenerateData, InvalidParameter, InvalidState, NotSupported
 
 
 def _strip_timestamp(text: str) -> str:
@@ -722,6 +723,142 @@ def test_scan_draw_cap_exits_2_before_any_work(monkeypatch, capsys, tmp_path):
     cfg.write_text("".join(f"{k} = {v}\n" for k, v in _SCAN_ABOVE_BOUND.items()))
     assert cli.main([*argv, "--config", str(cfg)]) == 2
     assert "above their cap" in capsys.readouterr().err
+
+
+# ----------------------------------------------------------------- domains
+
+DOMAINS = [(command, p) for command, schema in cli.SCHEMAS.items() for p in schema if p.domain is not None]
+_DOMAIN_IDS = [f"{command}-{p.name}" for command, p in DOMAINS]
+# float flags that keep the library's check, each pinned by a test above: lo-phase
+# by its "phi_lo must be finite", range by a bound that depends on n_max, and
+# window-lifetimes by its own guard, since inf (an untruncated LO) is valid there
+NO_DOMAIN = {"lo-phase", "range", "window-lifetimes"}
+
+
+def _outside(param: cli.Param):
+    """A value outside param's domain: one below an int flag's least, -inf for a float flag."""
+    return param.domain.keywords["least"] - 1 if param.type is int else -math.inf
+
+
+def test_every_numeric_flag_has_a_domain_but_three():
+    undeclared = {p.name for schema in cli.SCHEMAS.values() for p in schema if p.type in (float, int) and p.domain is None}
+    assert undeclared == NO_DOMAIN
+
+
+@pytest.mark.parametrize("source", ["flags", "config"])
+def test_a_value_outside_its_domain_exits_2_before_any_work(source, monkeypatch, capsys, tmp_path):
+    def never(params, explicit):
+        raise AssertionError("handler ran past a flag's domain")
+
+    for command in list(cli.HANDLERS):
+        monkeypatch.setitem(cli.HANDLERS, command, never)
+    for command, param in DOMAINS:
+        values = {**_required_values(command), param.name: _outside(param)}
+        if source == "flags":
+            argv = [command, *(f"--{k}={v}" for k, v in values.items())]
+        else:
+            cfg = tmp_path / "domain.cfg"
+            cfg.write_text("".join(f"{k} = {v}\n" for k, v in values.items()))
+            argv = [command, "--config", str(cfg)]
+        assert cli.main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"error: parameter: {param.name} must be "), captured.err
+
+
+_SPEC = SuperpositionSpec(0.5, 0.0)
+_STATE = fock.to_density(superposition.make_superposition(_SPEC))
+_EMITTED = modes.emitted_mode(1.0)
+_PREP, _JC = jc.AtomPrep(1.0, 0.0), jc.JCParams(0.0, 0.0, 1.0)
+_SOURCE = {
+    "beta": ("|beta|", lambda v: SuperpositionSpec(v, 0.0)),
+    "phi": ("rel_phase", lambda v: SuperpositionSpec(0.5, v)),
+}
+_EMITTER = {
+    "collection": ("eta_collection", lambda v: modes.detected_squeezing(_SPEC, v, _EMITTED, _EMITTED)),
+    "lifetime-ns": ("lifetime", modes.EmitterParams.from_lifetime),
+    "beta": _SOURCE["beta"],
+    "rel-phase": _SOURCE["phi"],
+    "detector": ("eta_detector", lambda v: modes.detected_squeezing(_SPEC, 1.0, _EMITTED, _EMITTED, v)),
+}
+_WINDOW = ("windows", lambda v: modes.window_tradeoff(_SPEC, 1.0, modes.EmitterParams(1.0), [v]))
+# (the library's name for the value, the library call the handler feeds it to)
+# for each flag with a domain.  A unit scale (nanoseconds, gamma/2, the
+# lifetime) makes a derived product that the handler checks on its own, so
+# each call takes the flag's value as it is.
+LIBRARY_GUARDS = {
+    "variance": _SOURCE,
+    "jc-sweep": {
+        "theta": ("theta", lambda v: jc.AtomPrep(v, 0.0)),
+        "phi": ("phi", lambda v: jc.AtomPrep(1.0, v)),
+        "coupling": ("coupling", lambda v: jc.JCParams(0.0, 0.0, v)),
+        "omega": ("omega0", lambda v: jc.JCParams(v, v, 1.0)),
+        "t-max": ("t_max", lambda v: _transient_rows(_PREP, _JC, v, 2)),
+        "steps": ("n_steps", lambda v: _transient_rows(_PREP, _JC, 1.0, v)),
+    },
+    "wigner": {**_SOURCE, "res": ("resolution", lambda v: wigner.wigner_of_state(_STATE, resolution=v))},
+    "homodyne": {
+        **_SOURCE,
+        "eta": ("eta_total", lambda v: homodyne.HomodyneRun(_STATE, 0.0, v, 100, 0)),
+        "samples": ("n_samples", lambda v: homodyne.HomodyneRun(_STATE, 0.0, 1.0, v, 0)),
+        "seed": ("seed", lambda v: homodyne.HomodyneRun(_STATE, 0.0, 1.0, 100, v)),
+    },
+    "phase-scan": {
+        **_SOURCE,
+        "eta": ("loss transmission eta", lambda v: homodyne.phase_scan(_STATE, v, 100, 0, 4)),
+        "samples": ("n_samples", lambda v: homodyne.phase_scan(_STATE, 1.0, v, 0, 4)),
+        "n-phases": ("n_phases", lambda v: homodyne.phase_scan(_STATE, 1.0, 100, 0, v)),
+        "seed": ("seed", lambda v: homodyne.phase_scan(_STATE, 1.0, 100, v, 4)),
+    },
+    "budget": {**_EMITTER, "lo-rate-factor": ("amplitude decay rate", modes.exponential_mode)},
+    # the handler builds its grid with _linspace and its rows with window_tradeoff's core
+    "window-sweep": {**_EMITTER, "min-lifetimes": _WINDOW, "max-lifetimes": _WINDOW,
+                     "steps": ("n", lambda v: _linspace(0.5, 10.0, v))},
+}
+
+
+def _probes(param: cli.Param) -> list:
+    """least - 1, least and least + 1 for an int flag (its cap is the CLI's alone);
+    for a float flag each finite end of its domain and the doubles either side
+    of it, 1.0, NaN and +-inf."""
+    if param.type is int:
+        least = param.domain.keywords["least"]
+        return [least - 1, least, least + 1]
+    bounds = getattr(param.domain, "keywords", {})
+    ends = [float(bounds[k]) for k in ("lo", "hi") if math.isfinite(bounds.get(k, math.inf))]
+    edges = [x for end in ends for x in (math.nextafter(end, -math.inf), end, math.nextafter(end, math.inf))]
+    return [*edges, 1.0, math.nan, math.inf, -math.inf]
+
+
+def _cli_rejects(command: str, name: str, value) -> bool:
+    try:
+        cli.resolve_params(command, {}, {**_required_values(command), name: value})
+    except InvalidParameter:
+        return True
+    return False
+
+
+def _library_rejects(name: str, call, value) -> bool:
+    """Whether the library's guard on `name` rejects value.  Another library
+    error (a lifetime whose reciprocal overflows, a mode norm that is NaN) is a
+    check on a derived quantity, not that guard's verdict."""
+    try:
+        call(value)
+    except AtomSqueezeError as exc:
+        return isinstance(exc, InvalidParameter) and str(exc).startswith(f"{name} must be")
+    return False
+
+
+def test_every_domain_has_a_library_guard_to_agree_with():
+    assert {(c, n) for c, guards in LIBRARY_GUARDS.items() for n in guards} == {(c, p.name) for c, p in DOMAINS}
+
+
+@pytest.mark.parametrize(("command", "param"), DOMAINS, ids=_DOMAIN_IDS)
+def test_cli_domain_and_library_guard_agree_at_its_edges(command, param):
+    name, call = LIBRARY_GUARDS[command][param.name]
+    verdicts = [_cli_rejects(command, param.name, value) for value in _probes(param)]
+    assert verdicts == [_library_rejects(name, call, value) for value in _probes(param)], _probes(param)
+    assert set(verdicts) == {True, False}
 
 
 def test_jsonable_cleans_non_finite_floats_at_any_depth():

@@ -93,6 +93,20 @@ def test_hermite_functions_orthonormal():
     assert np.max(np.abs(gram - np.eye(11))) < 1e-9
 
 
+@pytest.mark.parametrize("shape", [(2, 2), (3, 1), (1, 3), (2, 3, 2), ()])
+def test_hermite_functions_and_the_marginal_keep_the_shape_of_x(shape):
+    # each n-D or 0-d value is the one the 1-D call on x flattened gives, bit for bit
+    x = np.linspace(-2.5, 3.0, math.prod(shape)).reshape(shape)
+    psi = homodyne.hermite_functions(20, x)
+    assert psi.shape == (21, *shape)
+    assert np.array_equal(_bits(psi.reshape(21, -1)), _bits(homodyne.hermite_functions(20, x.ravel())))
+    dens = homodyne.marginal_density(ONE_THIRD, 0.4)
+    got = dens(x)
+    assert np.shape(got) == shape
+    assert np.array_equal(_bits(np.ravel(got)), _bits(dens(x.ravel())))
+    assert dens(float(x.flat[0])) == dens(x.ravel()[:1])[0]
+
+
 # ------------------------------------------------------------------ marginals
 
 def test_vacuum_marginal_is_gaussian():
@@ -403,6 +417,29 @@ def test_estimators_keep_the_bits_of_1d_samples():
     assert homodyne.ks_statistic(tuple(x - 3.0), xs, cdf) == float(max(np.max(i / x.size - f), np.max(f - (i - 1) / x.size)))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("samples", [
+    np.array([1 + 5j, 2, 3, 4]),  # numpy would drop the imaginary parts with a warning
+    [1 + 5j, 2.0, 3.0],
+    ["1", "2", "3"],  # numpy would parse the strings as numbers
+    np.array([1.0, None, 3.0], dtype=object),
+    [10**30, 1, 2],  # an int past int64 makes an object array
+])
+def test_estimators_reject_samples_that_are_not_real_numbers(samples):
+    xs, cdf = homodyne.tabulated_cdf(VACUUM, 0.0)
+    for estimator in (homodyne.estimate_variance, lambda x: homodyne.ks_statistic(x, xs, cdf)):
+        with pytest.raises(InvalidParameter, match="samples must be real numbers, got dtype"):
+            estimator(samples)
+
+
+def test_estimators_take_bool_integer_and_float32_samples():
+    ints = [1, 2, 3, 5]
+    ref = homodyne.estimate_variance([1.0, 2.0, 3.0, 5.0])
+    for samples in (ints, np.array(ints, dtype=np.uint8), np.array(ints, dtype=np.float32)):
+        assert homodyne.estimate_variance(samples) == ref
+    assert homodyne.estimate_variance([True, False, False]) == homodyne.estimate_variance([1.0, 0.0, 0.0])
+
+
 def test_estimate_variance_error_paths():
     with pytest.raises(InvalidParameter):
         homodyne.estimate_variance(np.array([1.0]))
@@ -644,6 +681,41 @@ def test_ks_statistic_flags_wrong_distribution():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(InvalidParameter):
             homodyne.ks_statistic(np.array([0.1, bad, 0.2]), xs, cdf)
+
+
+def test_ks_statistic_rejects_a_grid_that_is_not_1d():
+    xs, cdf = homodyne.tabulated_cdf(VACUUM, 0.0)
+    with pytest.raises(InvalidParameter, match=re.escape("xs must be a 1-D array, got shape (2, 32768)")):
+        homodyne.ks_statistic([0.1, 0.2], xs.reshape(2, -1), cdf)
+    with pytest.raises(InvalidParameter, match=re.escape("cdf must be a 1-D array, got shape (2, 32768)")):
+        homodyne.ks_statistic([0.1, 0.2], xs, cdf.reshape(2, -1))
+
+
+def test_ks_statistic_rejects_a_cdf_of_another_length():
+    xs, cdf = homodyne.tabulated_cdf(VACUUM, 0.0)
+    with pytest.raises(InvalidParameter, match="xs and cdf must have one length, got 65536 and 65535"):
+        homodyne.ks_statistic([0.1, 0.2], xs, cdf[:-1])
+
+
+@pytest.mark.parametrize("grid", ["descending", "flat", "nan", "empty"])
+def test_ks_statistic_rejects_a_grid_that_does_not_ascend_strictly(grid):
+    xs, cdf = homodyne.tabulated_cdf(VACUUM, 0.0)
+    xs = {
+        "descending": xs[::-1],  # np.interp would read this grid as a distance of 1.0
+        "flat": np.where(np.arange(xs.size) == 7, xs[6], xs),
+        "nan": np.where(np.arange(xs.size) == 7, math.nan, xs),
+        "empty": xs[:0],
+    }[grid]
+    with pytest.raises(InvalidParameter, match="xs must be a non-empty, strictly ascending grid"):
+        homodyne.ks_statistic([0.1, 0.2], xs, cdf[: xs.size])
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_ks_statistic_rejects_a_cdf_that_is_not_finite(bad):
+    xs, cdf = homodyne.tabulated_cdf(VACUUM, 0.0)
+    cdf = np.where(np.arange(cdf.size) == 32768, bad, cdf)  # np.interp would return NaN from here
+    with pytest.raises(InvalidParameter, match="cdf must be finite"):
+        homodyne.ks_statistic([0.1, 0.2], xs, cdf)
 
 
 # ----------------------------------------------------------------- phase scan

@@ -14,6 +14,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import atomsqueeze
 
 SRC = Path(atomsqueeze.__file__).resolve().parent
@@ -28,11 +30,11 @@ FUNCTION_IMPORTS = {
 }
 
 
-def _child(*args: str) -> subprocess.CompletedProcess:
+def _child(*args: str, returncode: int = 0) -> subprocess.CompletedProcess:
     """Run this interpreter on args with the package's src/ first on its path."""
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")]))
     proc = subprocess.run([sys.executable, *args], capture_output=True, text=True, env=env)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == returncode, proc.stderr
     return proc
 
 
@@ -46,15 +48,18 @@ def _loaded_after(code: str) -> dict:
     return json.loads(_child("-c", code + report).stderr.strip().splitlines()[-1])
 
 
-def _run_cli(argv: list) -> tuple[str, dict]:
-    """Run `python -X importtime -m atomsqueeze.cli argv`; return its stdout and what it loaded.
+def _run_cli(argv: list, returncode: int = 0) -> tuple[str, dict]:
+    """Run `python -X importtime -m atomsqueeze.cli argv`; return its stdout, or on
+    failure its stderr without the import lines, and what it loaded.
 
     -X importtime lists every module the process imports, one line each, on stderr.
     """
-    proc = _child("-X", "importtime", "-m", "atomsqueeze.cli", *argv)
-    names = {ln.rsplit("|", 1)[1].strip() for ln in proc.stderr.splitlines() if ln.startswith("import time:")}
+    proc = _child("-X", "importtime", "-m", "atomsqueeze.cli", *argv, returncode=returncode)
+    lines = proc.stderr.splitlines()
+    names = {ln.rsplit("|", 1)[1].strip() for ln in lines if ln.startswith("import time:")}
     package = sorted(n for n in names if n.split(".")[0] == "atomsqueeze")
-    return proc.stdout, {"package": package, "numpy": "numpy" in names}
+    errors = "".join(f"{ln}\n" for ln in lines if not ln.startswith("import time:"))
+    return proc.stdout if returncode == 0 else errors, {"package": package, "numpy": "numpy" in names}
 
 
 NUMPY_FREE_RUN = ["atomsqueeze", "atomsqueeze.closed_forms", "atomsqueeze.errors"]
@@ -87,6 +92,19 @@ def test_window_sweep_runs_without_numpy():
     assert loaded == {"package": [*NUMPY_FREE_RUN, "atomsqueeze.modes"], "numpy": False}
     lines = out.splitlines()
     assert len(lines) == 7 + 20 and lines[7] == "1.1500000000000001e-07,0.5,0.3934693402873667,-0.4213675812005512"
+
+
+@pytest.mark.parametrize(("argv", "message"), [
+    (["homodyne", "--beta", "0.5", "--samples", "5", "--seed", "1"], "samples must be an integer >= 100, got 5"),
+    (["wigner", "--beta", "0.5", "--res", "3"], "res must be an integer >= 16, got 3"),
+    (["phase-scan", "--beta", "0.5", "--seed", "1", "--n-phases", "2"], "n-phases must be an integer >= 4, got 2"),
+])
+def test_a_flag_outside_its_domain_exits_2_before_numpy_loads(argv, message):
+    # the numpy commands import their modules in the handler, which never runs
+    err, loaded = _run_cli(argv, returncode=2)
+    assert loaded == {"package": NUMPY_FREE_RUN, "numpy": False}
+    assert err == f"error: parameter: {message}\n"
+
 
 def test_variance_csv_loads_numpy_only_for_its_table():
     out, loaded = _run_cli(["variance", "--beta", "0.5", "--format", "csv"])

@@ -92,6 +92,14 @@ def test_truncated_mode_is_zero_past_its_window():
     assert m.amplitude(3.0) == m.amplitude(np.array([3.0]))[0] > 0.0
 
 
+@pytest.mark.parametrize("t", [math.nan, np.float64(math.nan), [math.nan, 1.0], np.array([[0.5], [math.nan]])])
+def test_mode_amplitude_rejects_a_nan_time(t):
+    # a NaN fails both window comparisons, so it used to read as the amplitude 0.0
+    for mode in (modes.emitted_mode(2.0), modes.lo_mode(2.0, window=3.0)):
+        with pytest.raises(InvalidParameter, match="amplitude time t must not be NaN"):
+            mode.amplitude(t)
+
+
 def test_mode_rejects_a_rate_whose_norm_overflows():
     # 2 * 1e308 overflows to inf, so the L2 norm is inf * 0 = NaN
     with pytest.raises(InvalidState, match="mode L2 norm is nan"):
