@@ -11,9 +11,10 @@ Exit codes: 0 success, 2 parameter/usage error, 3 numeric or physical
 failure, 4 I/O failure.
 
 Each handler imports the modules it computes with when it runs, so a
-command loads only what it uses: `variance` with JSON output, `budget`,
-`jc-sweep` and `window-sweep` run without numpy.  The two sweeps compute
-plain float rows, and their CSV columns are array.array("d").
+command loads only what it uses: `variance`, `budget`, `jc-sweep` and
+`window-sweep` run without numpy in either format.  A CSV column is float
+values (a numpy array, or the array.array("d") of a sweep's plain float
+rows) or a list of its cells' text.
 """
 
 import argparse
@@ -160,14 +161,14 @@ DEFAULT_FORMAT = {
 @dataclass
 class CommandOutput:
     """A handler's output.  Arrays and row tuples in `result` become JSON
-    lists only when JSON is written.  `columns` are the CSV table, named 1-D
-    numpy arrays (an object column holds its cells' text) or array.array("d")
-    float columns; when it is None the CSV body is the one-row table of the
-    scalar results."""
+    lists only when JSON is written.  `columns` are the CSV table, named
+    columns that are either 1-D float values (a numpy array or an
+    array.array("d")) or a list of cell text; when it is None the CSV body
+    is the one-row table of the scalar results."""
 
     n_max: int
     result: dict
-    columns: dict[str, "np.ndarray | array"] | None = None
+    columns: dict[str, "np.ndarray | array | list[str]"] | None = None
     extra_meta: dict = field(default_factory=dict)
 
 
@@ -243,7 +244,10 @@ def resolve_params(command: str, config_values: dict[str, str], cli_values: dict
 
 
 def _fmt(v) -> str:
-    return repr(v) if isinstance(v, float) else str(v)
+    """A scalar as CSV text: a bool as true/false, a float by float.__repr__, anything else by str."""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    return float.__repr__(v) if isinstance(v, float) else str(v)
 
 
 def _jsonable(v):
@@ -283,21 +287,9 @@ def _meta(command: str, params: dict, out: CommandOutput) -> dict:
     return meta
 
 
-_BOOL_TEXT = {True: "true", False: "false"}
-
-
-def _cells(col: "np.ndarray | array"):
-    """The text of a 1-D column, one formatter chosen from its dtype: floats
-    (an array.array("d") included) by repr, bools as true/false, ints by str.
-    str and object columns hold their cells' text already."""
-    kind = "f" if isinstance(col, array) else col.dtype.kind
-    if kind == "f":
-        return map(float.__repr__, col.tolist())
-    if kind == "b":
-        return map(_BOOL_TEXT.__getitem__, col.tolist())
-    if kind in "iu":
-        return map(str, col.tolist())
-    return col.tolist()
+def _cells(col: "np.ndarray | array | list[str]"):
+    """The text of a 1-D column: a list holds it already, and floats are written by float.__repr__."""
+    return col if isinstance(col, list) else map(float.__repr__, col.tolist())
 
 
 def _json_text(meta: dict, result: dict, fh) -> None:
@@ -307,7 +299,7 @@ def _json_text(meta: dict, result: dict, fh) -> None:
     fh.write(json.dumps(_jsonable({"meta": meta, "result": result}), indent=2) + "\n")
 
 
-def _csv_text(meta: dict, columns: dict[str, "np.ndarray | array"], fh) -> None:
+def _csv_text(meta: dict, columns: dict[str, "np.ndarray | array | list[str]"], fh) -> None:
     """Write the commented header, then the table in blocks of _CHUNK_ROWS rows."""
     lines = []
     for key, val in meta.items():
@@ -375,8 +367,6 @@ def _run_jc_sweep(params: dict, explicit: set) -> CommandOutput:
 
 
 def _run_wigner(params: dict, explicit: set) -> CommandOutput:
-    import numpy as np
-
     from . import fock, superposition, wigner
 
     spec = _source_spec(params)
@@ -394,13 +384,13 @@ def _run_wigner(params: dict, explicit: set) -> CommandOutput:
         "integral": grid.integral,
     }
     # each axis value is formatted once and its text repeated in every row
-    x1_text, x2_text = (np.array(list(_cells(x)), dtype=object) for x in (grid.x1, grid.x2))
+    x1_text, x2_text = (list(_cells(x)) for x in (grid.x1, grid.x2))
     return CommandOutput(
         n_max=1,
         result=result,
         columns={  # row-major: x1 outer, x2 inner
-            "x1": np.repeat(x1_text, grid.x2.size),
-            "x2": np.tile(x2_text, grid.x1.size),
+            "x1": [text for text in x1_text for _ in x2_text],
+            "x2": x2_text * len(x1_text),
             "w": grid.values.ravel(),
         },
         extra_meta={"convention": "vacuum-variance=1/4", "integral": grid.integral},
@@ -458,7 +448,9 @@ def _run_budget(params: dict, explicit: set) -> CommandOutput:
     # each product is checked under its flag's name, as it over- or underflows without a warning
     rate = params["lo-rate-factor"] * emitter.gamma_rate / 2.0
     require_in("lo-rate-factor x gamma/2", rate, 0, open_lo=True)
-    if window != math.inf:
+    if window == math.inf:  # the untruncated LO's norm integral overflows for a rate below ~3e-309
+        require_finite("1 / (2 x lo-rate-factor x gamma/2)", 1.0 / (2.0 * rate))
+    else:
         require_in("window-lifetimes x lifetime", window * emitter.lifetime_tau, 0, open_lo=True)
     lo = modes.exponential_mode(rate, window * emitter.lifetime_tau)
     budget = modes.detected_squeezing(
@@ -567,10 +559,8 @@ def run(args: argparse.Namespace) -> int:
             _json_text(meta, out.result, fh)
         else:
             columns = out.columns
-            if columns is None:
-                import numpy as np  # the one-row table of scalar results
-
-                columns = {k: np.array([v]) for k, v in out.result.items()}
+            if columns is None:  # the one-row table of scalar results
+                columns = {k: [_fmt(v)] for k, v in out.result.items()}
             _csv_text(meta, columns, fh)
     return EXIT_OK
 

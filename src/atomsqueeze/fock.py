@@ -50,7 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import VACUUM_VARIANCE, variance_to_db
-from .errors import InvalidState, require_finite, require_in, require_int
+from .errors import InvalidParameter, InvalidState, require_finite, require_in, require_int
 
 HERMITICITY_TOL = 1e-12
 TRACE_TOL = 1e-12
@@ -120,6 +120,17 @@ class QuadratureStats:
             )
         if not (0.0 < self.variance < math.inf):
             raise InvalidState(f"quadrature variance {float(self.variance)!r} must be finite and > 0")
+
+
+def _real_array(values, name: str, error: type = InvalidParameter) -> np.ndarray:
+    """values as a float array of their own shape.  A dtype that is not bool,
+    integer or float (complex, str, object) raises `error` before any cast,
+    so no string is parsed and no imaginary part dropped; float64 input keeps
+    its bits."""
+    x = np.asarray(values)
+    if x.dtype.kind not in "biuf":
+        raise error(f"{name} must be real numbers, got dtype {x.dtype}")
+    return x.astype(float, copy=False)
 
 
 def make_fock_vector(amplitudes) -> FockVector:

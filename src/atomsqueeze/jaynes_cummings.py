@@ -170,16 +170,22 @@ def field_variances(prep: AtomPrep, params: JCParams, t: float) -> tuple[float, 
 
 
 def closed_form_variance_at(prep: AtomPrep, lam_t, phi_lo: float):
-    """Var(X_phi_lo) closed form at lam_t = coupling * t; broadcasts over an array lam_t."""
-    # a float (np.float64 included) skips np.ndim, which costs ~1 us per call
-    scalar = isinstance(lam_t, float) or np.ndim(lam_t) == 0
+    """Var(X_phi_lo) closed form at lam_t = coupling * t; broadcasts over an array lam_t.
+
+    A complex, str or object lam_t raises InvalidParameter.
+    """
+    # a float (np.float64 included) skips the dtype check and np.ndim, which cost ~1 us per call
+    scalar = isinstance(lam_t, float)
+    if not scalar:
+        lam_t = fock._real_array(lam_t, "lam_t = coupling * t")
+        scalar = lam_t.ndim == 0
     # checked first: math.sin(inf) raises ValueError, and NaN would pass through
     if not (math.isfinite(lam_t) if scalar else np.isfinite(lam_t).all()):
         raise InvalidParameter("lam_t = coupling * t must be finite everywhere")
     require_finite("LO phase", phi_lo)
     if scalar:
         return _resonant_variances(prep, (lam_t,), phi_lo)[0]
-    return np.reshape(_resonant_variances(prep, np.ravel(lam_t).tolist(), phi_lo), np.shape(lam_t))
+    return np.reshape(_resonant_variances(prep, lam_t.ravel().tolist(), phi_lo), lam_t.shape)
 
 
 def closed_form_variances(prep: AtomPrep, lam_t) -> tuple:

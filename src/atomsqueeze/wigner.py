@@ -42,7 +42,11 @@ DEFAULT_RESOLUTION = 201
 
 @dataclass(frozen=True)
 class WignerGrid:
-    """W sampled on a rectangular grid: values[i, j] = W(x1[i], x2[j])."""
+    """W sampled on a rectangular grid: values[i, j] = W(x1[i], x2[j]).
+
+    Each axis is a 1-D, finite, strictly ascending array of at least 2 real
+    points, stored as a float array; any other axis raises InvalidState.
+    """
 
     x1: np.ndarray
     x2: np.ndarray
@@ -50,6 +54,11 @@ class WignerGrid:
     integral: float
 
     def __post_init__(self):
+        for name in ("x1", "x2"):
+            axis = fock._real_array(getattr(self, name), name, InvalidState)
+            if not (axis.ndim == 1 and axis.size >= 2 and np.isfinite(axis).all() and (axis[1:] > axis[:-1]).all()):
+                raise InvalidState(f"{name} must be a 1-D, finite, strictly ascending axis of at least 2 points")
+            object.__setattr__(self, name, axis)
         if self.values.shape != (self.x1.size, self.x2.size):
             raise InvalidState("values shape does not match the axes")
         if not (np.max(np.abs(self.values)) <= WIGNER_BOUND + 1e-9 and math.isfinite(self.integral)):

@@ -596,6 +596,24 @@ def test_budget_lo_rate_factor_out_of_domain_exits_2_naming_the_flag(value, mess
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("value", ["5e-324", "1e-320"])
+def test_budget_untruncated_lo_whose_norm_overflows_exits_2_naming_the_flag(value, capsys):
+    # the untruncated LO's norm integral is 1 / (2 rate), past the float maximum for these rates
+    assert cli.main(["budget", "--collection", "0.5", f"--lo-rate-factor={value}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: parameter: 1 / (2 x lo-rate-factor x gamma/2) must be finite, got inf\n"
+
+
+@pytest.mark.parametrize("value", ["5e-324", "1e-320"])
+def test_budget_truncated_lo_of_a_subnormal_rate_runs(value, tmp_path):
+    argv = ["budget", "--collection", "0.9", f"--lo-rate-factor={value}", "--window-lifetimes", "5"]
+    res = json.loads(_run_to_text(argv, tmp_path, "subnormal.json"))["result"]
+    # a flat LO on [0, 5 tau] against e^{-t / (2 tau)}, as at lo-rate-factor 1e-300
+    assert abs(res["eta_overlap"] - 0.8 * (1.0 - math.exp(-2.5)) ** 2) < 1e-12
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(
     ("lifetime_ns", "window", "got"),
     [("1e-290", "1e-30", "0.0"), ("1e300", "1e300", "inf")],
@@ -1067,7 +1085,8 @@ def _csv_reference(meta: dict, columns: dict) -> str:
         else:
             lines.append(f"# {key}: {_fmt_reference(val)}")
     lines.append(",".join(columns))
-    lines.extend(map(",".join, zip(*(map(_fmt_reference, col.tolist()) for col in columns.values()))))
+    cells = (col if isinstance(col, list) else map(_fmt_reference, col.tolist()) for col in columns.values())
+    lines.extend(map(",".join, zip(*cells)))
     return "\n".join(lines) + "\n"
 
 
@@ -1089,10 +1108,10 @@ def _mixed_columns(n: int) -> dict:
     scale = 10.0 ** rng.integers(-300, 300, size=n)
     return {
         "t": np.concatenate([[-0.0, 0.1, 1e16, 5e-324], rng.normal(size=n) * scale])[:n],
-        "k": rng.integers(-10**15, 10**15, size=n),
-        "ok": rng.random(n) < 0.5,
-        "label": np.array(["a", "bc", "def"] * n)[:n],
-        "text": np.array([repr(x) for x in rng.normal(size=n)], dtype=object),
+        "k": [str(k) for k in rng.integers(-10**15, 10**15, size=n).tolist()],
+        "ok": ["true" if ok else "false" for ok in (rng.random(n) < 0.5).tolist()],
+        "label": (["a", "bc", "def"] * n)[:n],
+        "text": [repr(x) for x in rng.normal(size=n)],
     }
 
 

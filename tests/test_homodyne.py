@@ -290,6 +290,29 @@ def test_marginal_density_names_a_non_finite_x(x):
         density(x)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("x", [
+    "0.5",  # numpy would parse the string as a number
+    ["0.1", "0.2"],
+    0.5 + 1j,  # numpy would drop the imaginary part with a warning
+    np.array([[0.1, 0.2j]]),
+    np.array([0.1, None], dtype=object),
+])
+def test_hermite_functions_and_the_density_reject_x_that_is_not_real_numbers(x):
+    density = homodyne.marginal_density(VACUUM, 0.0)
+    for evaluate in (density, lambda x: homodyne.hermite_functions(2, x)):
+        with pytest.raises(InvalidParameter, match="x must be real numbers, got dtype"):
+            evaluate(x)
+
+
+def test_hermite_functions_and_the_density_take_bool_and_integer_x():
+    density = homodyne.marginal_density(ONE_THIRD, 0.3)
+    ref = density(np.array([[1.0, 0.0], [2.0, 0.0]]))
+    for x in ([[1, 0], [2, 0]], np.array([[1, 0], [2, 0]], dtype=np.uint8), [[True, False], [2.0, 0.0]]):
+        assert np.array_equal(density(x), ref)
+        assert np.array_equal(homodyne.hermite_functions(3, x), homodyne.hermite_functions(3, np.asarray(x, float)))
+
+
 def test_kernels_build_only_the_lossy_state(monkeypatch):
     # the kernels rotate the bare matrix, so the one FockDensity a run builds
     # is the state behind the loss channel, and none at eta = 1

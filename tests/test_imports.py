@@ -1,9 +1,10 @@
 """What importing the package loads: cold commands import only what they run.
 
-The closed-form commands (`variance` with JSON output, `budget`, `jc-sweep`
-and `window-sweep`) run without numpy; `import atomsqueeze` loads no submodule until a public name
-is used.  The import-graph test pins which modules load numpy at import
-time, so that one stray top-level import cannot silently undo that.
+The closed-form commands (`variance`, `budget`, `jc-sweep` and
+`window-sweep`) run without numpy in either output format; `import
+atomsqueeze` loads no submodule until a public name is used.  The
+import-graph test pins which modules load numpy at import time, so that
+one stray top-level import cannot silently undo that.
 """
 
 import ast
@@ -94,6 +95,22 @@ def test_window_sweep_runs_without_numpy():
     assert len(lines) == 7 + 20 and lines[7] == "1.1500000000000001e-07,0.5,0.3934693402873667,-0.4213675812005512"
 
 
+CLOSED_FORM_RUNS = {
+    "variance": (["variance", "--beta", "0.5"], NUMPY_FREE_RUN),
+    "budget": (["budget", "--collection", "0.94"], [*NUMPY_FREE_RUN, "atomsqueeze.modes"]),
+    "jc-sweep": (["jc-sweep", "--theta", "2.0944", "--t-max", "6.2832"], NUMPY_FREE_RUN),
+    "window-sweep": (["window-sweep", "--collection", "0.94"], [*NUMPY_FREE_RUN, "atomsqueeze.modes"]),
+}
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("command", list(CLOSED_FORM_RUNS))
+def test_closed_form_commands_run_without_numpy_in_either_format(command, fmt):
+    argv, package = CLOSED_FORM_RUNS[command]
+    _, loaded = _run_cli([*argv, "--format", fmt])
+    assert loaded == {"package": package, "numpy": False}
+
+
 @pytest.mark.parametrize(("argv", "message"), [
     (["homodyne", "--beta", "0.5", "--samples", "5", "--seed", "1"], "samples must be an integer >= 100, got 5"),
     (["wigner", "--beta", "0.5", "--res", "3"], "res must be an integer >= 16, got 3"),
@@ -106,9 +123,9 @@ def test_a_flag_outside_its_domain_exits_2_before_numpy_loads(argv, message):
     assert err == f"error: parameter: {message}\n"
 
 
-def test_variance_csv_loads_numpy_only_for_its_table():
+def test_variance_csv_runs_without_numpy():
     out, loaded = _run_cli(["variance", "--beta", "0.5", "--format", "csv"])
-    assert loaded == {"package": NUMPY_FREE_RUN, "numpy": True}
+    assert loaded == {"package": NUMPY_FREE_RUN, "numpy": False}
     assert out.splitlines()[-1] == "0.1875,-1.2493873660829993,0.375,1.7609125905568124,0.1875,-1.2493873660829993,true"
 
 

@@ -397,6 +397,28 @@ def test_closed_forms_reject_non_finite_inputs(bad):
         jc.closed_form_variance_at(prep, np.linspace(0.0, 1.0, 3), bad)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("lam_t", [
+    1j,
+    "0.5",  # a string is not parsed as a number
+    np.array([0.0, 1.0 + 1j]),
+    np.array([0.0, None], dtype=object),
+    ["0.1", "0.2"],
+])
+def test_closed_forms_reject_a_time_that_is_not_real_numbers(lam_t):
+    prep = AtomPrep(2.0, 0.7)
+    with pytest.raises(InvalidParameter, match="lam_t = coupling \\* t must be real numbers, got dtype"):
+        jc.closed_form_variance_at(prep, lam_t, 0.0)
+
+
+def test_closed_forms_take_integer_and_bool_times():
+    prep = AtomPrep(2.0, 0.7)
+    assert jc.closed_form_variance_at(prep, 2, 0.3) == jc.closed_form_variance_at(prep, 2.0, 0.3)
+    assert jc.closed_form_variance_at(prep, np.int64(2), 0.3) == jc.closed_form_variance_at(prep, 2.0, 0.3)
+    grid = jc.closed_form_variance_at(prep, [[0, 1], [True, 3]], 0.3)
+    assert np.array_equal(grid, jc.closed_form_variance_at(prep, np.array([[0.0, 1.0], [1.0, 3.0]]), 0.3))
+
+
 def test_transient_sweep_matches_reduced_density_oracle():
     # the sweep runs on the closed forms; field_variances is the independent path
     for params in (ZERO_FREQ, RESONANT):

@@ -423,6 +423,38 @@ def test_grid_rejects_values_that_do_not_match_the_axes():
         wigner.WignerGrid(x1=axis, x2=axis, values=np.zeros((17, 16)), integral=1.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("axis", [
+    np.zeros(3),  # wigner_marginal would divide by its zero step
+    [0.0, 2.0, 1.0],
+    [0.0, 1.0, 1.0],
+    [0.0, math.nan, 2.0],
+    [0.0, 1.0, math.inf],
+    [1.0],
+    np.zeros((3, 1)),
+    [0.0, 1.0j, 2.0],
+    ["0", "1", "2"],
+])
+def test_grid_rejects_axes_that_are_not_1d_finite_and_strictly_ascending(axis):
+    good = np.linspace(-4.0, 4.0, 3)
+    values = np.zeros((np.size(axis), 3))
+    with pytest.raises(InvalidState, match="x1 must be"):
+        wigner.WignerGrid(x1=axis, x2=good, values=values, integral=1.0)
+    with pytest.raises(InvalidState, match="x2 must be"):
+        wigner.WignerGrid(x1=good, x2=axis, values=values.T, integral=1.0)
+
+
+def test_grid_stores_list_and_integer_axes_as_float_arrays():
+    grid = wigner.wigner_of_state(fock.to_density(fock.make_fock_vector([0.6, 0.8])), resolution=17)
+    as_lists = wigner.WignerGrid(x1=grid.x1.tolist(), x2=list(range(17)), values=grid.values, integral=grid.integral)
+    assert as_lists.x1.dtype == as_lists.x2.dtype == np.float64
+    assert np.array_equal(as_lists.x1, grid.x1) and np.array_equal(as_lists.x2, np.arange(17.0))
+    x, p = wigner.wigner_marginal(as_lists, 0.0)
+    assert np.all(np.isfinite(p))
+    # the kernel's own axes are kept as they are
+    assert wigner.WignerGrid(grid.x1, grid.x2, grid.values, grid.integral).x1 is grid.x1
+
+
 def test_grid_arrays_are_frozen():
     grid = wigner.wigner_of_state(fock.to_density(fock.make_fock_vector([1.0])), resolution=17)
     assert not grid.values.flags.writeable
