@@ -64,14 +64,13 @@ class FockVector:
     amplitudes: np.ndarray
 
     def __post_init__(self):
-        amps = np.asarray(self.amplitudes, dtype=complex)
+        amps = _numbers(self.amplitudes, "amplitudes", InvalidState, complex)
         if amps.ndim != 1 or amps.size < 2:
             raise InvalidState("FockVector needs a 1-D amplitude array with n_max >= 1")
         norm = np.linalg.norm(amps)
         if not (abs(norm - 1.0) <= 1e-12):
             raise InvalidState(f"FockVector norm {float(norm)!r} is not 1 within 1e-12")
-        amps.setflags(write=False)
-        object.__setattr__(self, "amplitudes", amps)
+        _freeze(self, amplitudes=amps)
 
     @property
     def n_max(self) -> int:
@@ -85,7 +84,7 @@ class FockDensity:
     matrix: np.ndarray
 
     def __post_init__(self):
-        rho = np.asarray(self.matrix, dtype=complex)
+        rho = _numbers(self.matrix, "matrix", InvalidState, complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
             raise InvalidState("FockDensity needs a square matrix with n_max >= 1")
         # every check is written so that a NaN entry fails it
@@ -97,8 +96,7 @@ class FockDensity:
         # eigvalsh is cheap at the truncations used here: ~1 ms at n_max = 100
         if not (np.min(np.linalg.eigvalsh(rho)) >= PSD_TOL):
             raise InvalidState("density matrix has an eigenvalue below -1e-10")
-        rho.setflags(write=False)
-        object.__setattr__(self, "matrix", rho)
+        _freeze(self, matrix=rho)
 
     @property
     def n_max(self) -> int:
@@ -122,20 +120,38 @@ class QuadratureStats:
             raise InvalidState(f"quadrature variance {float(self.variance)!r} must be finite and > 0")
 
 
-def _real_array(values, name: str, error: type = InvalidParameter) -> np.ndarray:
-    """values as a float array of their own shape.  A dtype that is not bool,
-    integer or float (complex, str, object) raises `error` before any cast,
-    so no string is parsed and no imaginary part dropped; float64 input keeps
-    its bits."""
-    x = np.asarray(values)
-    if x.dtype.kind not in "biuf":
-        raise error(f"{name} must be real numbers, got dtype {x.dtype}")
-    return x.astype(float, copy=False)
+def _numbers(values, name: str, error: type = InvalidParameter, dtype: type = float) -> np.ndarray:
+    """values as a `dtype` (float or complex) array of their own shape: the one
+    rule by which the package admits an array.  A ragged nesting raises
+    `error`, and so does a dtype that is not bool, integer or float (or
+    complex, for dtype=complex), before any cast: no string is parsed and no
+    imaginary part dropped.  Input already of `dtype` is returned as it is,
+    with its bits and without a copy."""
+    try:
+        x = np.asarray(values)
+    except ValueError:  # numpy's "inhomogeneous shape"
+        raise error(f"{name} must be a regular array of numbers") from None
+    if x.dtype.kind not in ("biufc" if dtype is complex else "biuf"):
+        raise error(f"{name} must be {'numbers' if dtype is complex else 'real numbers'}, got dtype {x.dtype}")
+    return x.astype(dtype, copy=False)
+
+
+def _freeze(record, **arrays: np.ndarray) -> None:
+    """Make each array read-only and store it as the field of that name on the frozen dataclass record.
+
+    An array that _numbers admitted without a copy is the caller's own, so
+    a record built from it leaves the caller's array read-only too.  Call
+    this after every check: a construction that fails leaves the caller's
+    array writable.
+    """
+    for name, arr in arrays.items():
+        arr.setflags(write=False)
+        object.__setattr__(record, name, arr)
 
 
 def make_fock_vector(amplitudes) -> FockVector:
     """Normalize raw amplitudes into a FockVector; a bare vacuum [c0] gets an empty |1> slot."""
-    amps = np.asarray(amplitudes, dtype=complex)
+    amps = _numbers(amplitudes, "amplitudes", InvalidState, complex)
     if amps.ndim != 1 or amps.size == 0:
         raise InvalidState("amplitudes must be a non-empty 1-D array")
     if not np.all(np.isfinite(amps.view(float))):

@@ -83,7 +83,7 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
     that order, so the values are those of the plain expression, bit for bit.
     """
     require_int("n_max", n_max, 0)
-    x = fock._real_array(x, "x")
+    x = fock._numbers(x, "x")
     shape, x = x.shape, x.ravel()
     out = np.empty((n_max + 1, x.size))
     out[0] = (2.0 / math.pi) ** 0.25 * np.exp(-(x**2))
@@ -141,7 +141,7 @@ def marginal_density(state: fock.FockDensity, phi_lo: float):
     n_max = rho.shape[0] - 1
 
     def density(x):
-        x = fock._real_array(x, "x")
+        x = fock._numbers(x, "x")
         xs = x.ravel()
         if not np.all(np.isfinite(xs)):  # checked before hermite_functions turns them into NaN
             raise InvalidParameter(f"marginal density needs finite x, got {float(xs[~np.isfinite(xs)][0])!r}")
@@ -282,8 +282,8 @@ def sample_quadratures(run: HomodyneRun) -> np.ndarray:
 
 
 def _real_vector(values, name: str = "samples") -> np.ndarray:
-    """values as a 1-D float array by fock._real_array's dtype rule; any shape but 1-D raises InvalidParameter."""
-    x = fock._real_array(values, name)
+    """values as a 1-D float array by fock._numbers's rule; any shape but 1-D raises InvalidParameter."""
+    x = fock._numbers(values, name)
     if x.ndim != 1:
         raise InvalidParameter(f"{name} must be a 1-D array, got shape {x.shape}")
     return x

@@ -62,18 +62,15 @@ class JointAtomFieldState:
     amp_g: np.ndarray
 
     def __post_init__(self):
-        e = np.asarray(self.amp_e, dtype=complex)
-        g = np.asarray(self.amp_g, dtype=complex)
+        e = fock._numbers(self.amp_e, "amp_e", InvalidState, complex)
+        g = fock._numbers(self.amp_g, "amp_g", InvalidState, complex)
         if e.ndim != 1 or e.shape != g.shape or e.size < 2:
             raise InvalidState("amp_e and amp_g must be equal-length 1-D arrays, n_max >= 1")
         norm = math.sqrt(float(np.sum(np.abs(e) ** 2) + np.sum(np.abs(g) ** 2)))
         # loosest producer is the numeric integrator (norm drift <= 1e-9)
         if not (abs(norm - 1.0) <= 1e-9):
             raise InvalidState(f"joint state norm {norm!r} is not 1 within 1e-9")
-        e.setflags(write=False)
-        g.setflags(write=False)
-        object.__setattr__(self, "amp_e", e)
-        object.__setattr__(self, "amp_g", g)
+        fock._freeze(self, amp_e=e, amp_g=g)
 
     @property
     def n_max(self) -> int:
@@ -177,7 +174,7 @@ def closed_form_variance_at(prep: AtomPrep, lam_t, phi_lo: float):
     # a float (np.float64 included) skips the dtype check and np.ndim, which cost ~1 us per call
     scalar = isinstance(lam_t, float)
     if not scalar:
-        lam_t = fock._real_array(lam_t, "lam_t = coupling * t")
+        lam_t = fock._numbers(lam_t, "lam_t = coupling * t")
         scalar = lam_t.ndim == 0
     # checked first: math.sin(inf) raises ValueError, and NaN would pass through
     if not (math.isfinite(lam_t) if scalar else np.isfinite(lam_t).all()):
@@ -243,7 +240,6 @@ def field_superposition_at_quarter_period(prep: AtomPrep) -> tuple[Superposition
         rel_phase = -phi - pi/2 (+ pi when cos(theta/2) < 0), mod 2*pi.
     """
     c = math.cos(prep.theta / 2.0)
-    s = math.sin(prep.theta / 2.0)
     rel = -prep.phi - math.pi / 2.0 + (math.pi if c < 0.0 else 0.0)
     rel %= 2.0 * math.pi
     return SuperpositionSpec(beta_abs=abs(c), rel_phase=rel), prep.phi

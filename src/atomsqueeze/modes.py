@@ -126,7 +126,9 @@ class TemporalMode:
     def amplitude(self, t):
         import numpy as np  # the closed forms never sample the envelope, so numpy stays out of a `budget` run
 
-        ts = np.asarray(t, dtype=float)
+        from .fock import _numbers
+
+        ts = _numbers(t, "amplitude time t")
         if np.isnan(ts).any():  # a NaN fails both window comparisons, which would read it as 0
             raise InvalidParameter("amplitude time t must not be NaN")
         vals = np.where(
@@ -134,7 +136,7 @@ class TemporalMode:
             self._front * np.exp(-self.rate * ts),
             0.0,
         )
-        return float(vals) if np.ndim(t) == 0 else vals
+        return float(vals) if ts.ndim == 0 else vals
 
 
 def exponential_mode(amplitude_rate: float, window: float = math.inf) -> TemporalMode:
@@ -262,7 +264,9 @@ def window_tradeoff(
     """
     import numpy as np  # kept here, with TemporalMode.amplitude's, so that importing modes loads no numpy
 
-    ws = np.asarray(windows, dtype=float)
+    from .fock import _numbers
+
+    ws = _numbers(windows, "windows")
     # finite first, as np.diff warns on two infinite windows; each test is one a NaN fails
     if ws.ndim != 1 or ws.size < 1 or not (np.isfinite(ws).all() and ws[0] > 0.0 and (np.diff(ws) > 0.0).all()):
         raise InvalidParameter("windows must be a strictly ascending grid of finite positive times")

@@ -45,7 +45,9 @@ class WignerGrid:
     """W sampled on a rectangular grid: values[i, j] = W(x1[i], x2[j]).
 
     Each axis is a 1-D, finite, strictly ascending array of at least 2 real
-    points, stored as a float array; any other axis raises InvalidState.
+    points, and values a real array of shape (x1.size, x2.size) within the
+    2/pi bound.  All three are stored as read-only float arrays; any other
+    input raises InvalidState.
     """
 
     x1: np.ndarray
@@ -54,17 +56,15 @@ class WignerGrid:
     integral: float
 
     def __post_init__(self):
-        for name in ("x1", "x2"):
-            axis = fock._real_array(getattr(self, name), name, InvalidState)
+        x1, x2, values = (fock._numbers(getattr(self, n), n, InvalidState) for n in ("x1", "x2", "values"))
+        for name, axis in (("x1", x1), ("x2", x2)):
             if not (axis.ndim == 1 and axis.size >= 2 and np.isfinite(axis).all() and (axis[1:] > axis[:-1]).all()):
                 raise InvalidState(f"{name} must be a 1-D, finite, strictly ascending axis of at least 2 points")
-            object.__setattr__(self, name, axis)
-        if self.values.shape != (self.x1.size, self.x2.size):
+        if values.shape != (x1.size, x2.size):
             raise InvalidState("values shape does not match the axes")
-        if not (np.max(np.abs(self.values)) <= WIGNER_BOUND + 1e-9 and math.isfinite(self.integral)):
+        if not (np.max(np.abs(values)) <= WIGNER_BOUND + 1e-9 and math.isfinite(self.integral)):
             raise InvalidState("Wigner values or integral are not finite, or values exceed the 2/pi bound")
-        for arr in (self.x1, self.x2, self.values):
-            arr.setflags(write=False)
+        fock._freeze(self, x1=x1, x2=x2, values=values)
 
     @property
     def integral_error(self) -> float:

@@ -12,6 +12,13 @@ numbers, dataclass fields and public properties included.  Each
 True, and each such call must raise an AtomSqueezeError.  The value sets
 are fixed and exhaustive, so the cases are a plain parametrization rather
 than sampled.
+
+Every array parameter of the public API is listed in ARRAY_CALLABLES and
+called with a str array, an object array and a ragged list in its place,
+and a real one also with a complex array; each call must raise an
+AtomSqueezeError.  A completeness test finds every public parameter that
+is unannotated or annotated np.ndarray, so a new one cannot escape the
+table.
 """
 
 import dataclasses
@@ -177,3 +184,98 @@ def test_non_finite_input_raises_or_returns_finite(name, param, bad):
         assert result == math.inf
         return
     assert list(_non_finite(result)) == []
+
+
+_JOINT = jaynes_cummings.evolve_resonant(VALID["prep"], VALID["params"], 0.5)
+
+# One valid array per array parameter name; each probe is built from it.
+VALID_ARRAYS = {
+    "amp_e": _JOINT.amp_e,
+    "amp_g": _JOINT.amp_g,
+    "amplitudes": superposition.make_superposition(_SPEC).amplitudes,
+    "cdf": np.linspace(0.0, 1.0, 5),
+    "lam_t": np.array([0.0, 0.7]),
+    "matrix": _STATE.matrix,
+    "samples": np.array([0.1, -0.2, 0.3, 0.05]),
+    "t": np.array([0.0, 1e-7]),
+    "values": _GRID.values,
+    "windows": VALID["windows"],
+    "x": VALID["x"],
+    "x1": _GRID.x1,
+    "x2": _GRID.x2,
+    "xs": np.linspace(-1.0, 1.0, 5),
+}
+COMPLEX_ARRAYS = {"amp_e", "amp_g", "amplitudes", "matrix"}  # state amplitudes, which admit a complex dtype
+
+# Every array parameter of the public API, as {label: (callable, its array parameters)}
+ARRAY_CALLABLES = {
+    "FockVector": (fock.FockVector, ("amplitudes",)),
+    "FockDensity": (fock.FockDensity, ("matrix",)),
+    "make_fock_vector": (fock.make_fock_vector, ("amplitudes",)),
+    "JointAtomFieldState": (jaynes_cummings.JointAtomFieldState, ("amp_e", "amp_g")),
+    "WignerGrid": (wigner.WignerGrid, ("x1", "x2", "values")),
+    "TemporalMode.amplitude": (VALID["lo"].amplitude, ("t",)),
+    "window_tradeoff": (modes.window_tradeoff, ("windows",)),
+    "hermite_functions": (homodyne.hermite_functions, ("x",)),
+    "marginal_density(state, phi_lo)": (homodyne.marginal_density(_STATE, VALID["phi_lo"]), ("x",)),
+    "estimate_variance": (homodyne.estimate_variance, ("samples",)),
+    "ks_statistic": (homodyne.ks_statistic, ("samples", "xs", "cdf")),
+    "closed_form_variance_at": (jaynes_cummings.closed_form_variance_at, ("lam_t",)),
+    "closed_form_variances": (jaynes_cummings.closed_form_variances, ("lam_t",)),
+}
+
+# each probe takes the place of a valid array; "complex" goes to real parameters only
+ARRAY_PROBES = {
+    "str": lambda a: a.astype(str),
+    "object": lambda a: a.astype(object),
+    "ragged": lambda a: [a.tolist(), a.tolist()[:1]],
+    "complex": lambda a: a + 0j,
+}
+
+
+def _array_call(label: str, **overrides):
+    """Call a table entry with its valid arrays, VALID for its other parameters, then overrides."""
+    func, arrays = ARRAY_CALLABLES[label]
+    kwargs = {p: VALID_ARRAYS[p] if p in arrays else VALID[p] for p in inspect.signature(func).parameters}
+    return func(**{**kwargs, **overrides})
+
+
+def _array_cases():
+    for label, (_, arrays) in ARRAY_CALLABLES.items():
+        for param in arrays:
+            for probe in ARRAY_PROBES:
+                if probe != "complex" or param not in COMPLEX_ARRAYS:
+                    yield pytest.param(label, param, probe, id=f"{label}-{param}-{probe}")
+
+
+@pytest.mark.parametrize("label", list(ARRAY_CALLABLES))
+def test_array_table_calls_succeed_on_valid_arrays(label):
+    # so that each probe below fails on its probed array alone
+    assert list(_non_finite(_array_call(label))) == []
+
+
+@pytest.mark.parametrize(("label", "param", "probe"), list(_array_cases()))
+def test_array_probe_raises(label, param, probe):
+    with pytest.raises(AtomSqueezeError):
+        _array_call(label, **{param: ARRAY_PROBES[probe](VALID_ARRAYS[param])})
+
+
+def _array_parameters():
+    """(label, parameter) for each public parameter, class methods' included, unannotated or annotated np.ndarray."""
+    for name, obj in CALLABLES.items():
+        if not callable(obj) or (isinstance(obj, type) and issubclass(obj, BaseException)):
+            continue
+        funcs = {name: obj}
+        if isinstance(obj, type):
+            methods = {m: v for m, v in vars(obj).items() if inspect.isfunction(v) and not m.startswith("_")}
+            funcs.update((f"{name}.{m}", v) for m, v in methods.items())
+        for label, func in funcs.items():
+            for param in inspect.signature(func).parameters.values():
+                if param.name != "self" and param.annotation in (inspect.Parameter.empty, np.ndarray):
+                    yield label, param.name
+
+
+def test_every_array_parameter_is_probed():
+    table = {(label, param) for label, (_, arrays) in ARRAY_CALLABLES.items() for param in arrays}
+    # no signature walk reaches the density function that marginal_density returns
+    assert set(_array_parameters()) == table - {("marginal_density(state, phi_lo)", "x")}

@@ -93,6 +93,34 @@ def test_fock_density_rejects_nan():
         fock.FockDensity(np.full((2, 2), np.nan))
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(("build", "message"), [
+    (lambda: fock.FockDensity(np.array([["1", "0"], ["0", "0"]])), "matrix must be numbers, got dtype <U1"),
+    (lambda: fock.FockDensity(np.array([["a", "0"], ["0", "0"]])), "matrix must be numbers, got dtype <U1"),
+    (lambda: fock.FockDensity(np.eye(2, dtype=object) / 2), "matrix must be numbers, got dtype object"),
+    (lambda: fock.FockDensity([[1.0, 0.0], [0.0]]), "matrix must be a regular array of numbers"),
+    (lambda: fock.FockVector(np.array(["1", "0"])), "amplitudes must be numbers, got dtype <U1"),
+    (lambda: fock.make_fock_vector(["1", "0"]), "amplitudes must be numbers, got dtype <U1"),
+    (lambda: fock.make_fock_vector([[1.0, 0.0], [1.0]]), "amplitudes must be a regular array of numbers"),
+])
+def test_state_arrays_must_be_regular_arrays_of_numbers(build, message):
+    # a string is not parsed as a number, and a ragged nesting raises no bare numpy error
+    with pytest.raises(InvalidState, match=f"^{message}$"):
+        build()
+
+
+def test_a_state_stores_the_callers_complex_array_and_freezes_it_once_every_check_passes():
+    rho = np.array([[0.5, 0.5], [0.5, 0.5]], dtype=complex)
+    assert fock.FockDensity(rho).matrix is rho and not rho.flags.writeable
+    amps = np.array([0.6, 0.8j])
+    assert fock.FockVector(amps).amplitudes is amps and not amps.flags.writeable
+    # not Hermitian (the first check), and Hermitian of unit trace but not PSD (the last)
+    for bad in (np.array([[0.5, 0.3], [0.1, 0.5]], dtype=complex), np.array([[1.2, 0.0], [0.0, -0.2]], dtype=complex)):
+        with pytest.raises(InvalidState):
+            fock.FockDensity(bad)
+        assert bad.flags.writeable
+
+
 def test_rotate_phase_rejects_nan_phase():
     rho = fock.to_density(fock.make_fock_vector(ONE_THIRD_STATE))
     with pytest.raises(InvalidParameter):

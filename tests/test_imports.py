@@ -200,3 +200,34 @@ def test_import_graph_pins_which_modules_load_numpy():
 
     assert {m for m in trees if loads_numpy(m)} == LOADS_NUMPY
     assert {m: f for m, f in function_imports.items() if f and m != "cli"} == FUNCTION_IMPORTS
+
+
+def _callers(tree: ast.Module, attrs: set) -> set:
+    """(name called, qualname of the function that calls it) for each call of a name or attribute in attrs."""
+    found = set()
+
+    def walk(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                walk(child, f"{scope}.{child.name}")
+                continue
+            if isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name in attrs:
+                    found.add((name, scope))
+            walk(child, scope)
+
+    walk(tree, "")
+    return found
+
+
+def test_arrays_are_admitted_and_frozen_in_one_place_each():
+    # fock._numbers is the one cast of an input array, and fock._freeze the one
+    # store of a read-only array on a record, so a new record cannot bring back its own
+    found = set()
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        calls = _callers(tree, {"asarray", "setflags", "__setattr__"})
+        found |= {(name, f"{path.stem}{scope}") for name, scope in calls}
+    assert found == {("asarray", "fock._numbers"), ("setflags", "fock._freeze"), ("__setattr__", "fock._freeze")}

@@ -411,6 +411,17 @@ def test_closed_forms_reject_a_time_that_is_not_real_numbers(lam_t):
         jc.closed_form_variance_at(prep, lam_t, 0.0)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(("amp_e", "amp_g", "message"), [
+    (np.array(["1", "0"]), [0.0, 0.0], "amp_e must be numbers, got dtype <U1"),
+    ([1.0, 0.0], np.array([0, 0], dtype=object), "amp_g must be numbers, got dtype object"),
+    ([1.0, 0.0], [[0.0, 0.0], [0.0]], "amp_g must be a regular array of numbers"),
+])
+def test_joint_state_amplitudes_must_be_regular_arrays_of_numbers(amp_e, amp_g, message):
+    with pytest.raises(InvalidState, match=f"^{message}$"):
+        JointAtomFieldState(amp_e=amp_e, amp_g=amp_g)
+
+
 def test_closed_forms_take_integer_and_bool_times():
     prep = AtomPrep(2.0, 0.7)
     assert jc.closed_form_variance_at(prep, 2, 0.3) == jc.closed_form_variance_at(prep, 2.0, 0.3)

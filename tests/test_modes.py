@@ -333,6 +333,23 @@ def test_window_tradeoff_validation():
 
 
 @pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(("call", "message"), [
+    (lambda m, em: m.amplitude("0.5"), "amplitude time t must be real numbers, got dtype <U3"),
+    (lambda m, em: m.amplitude(1j), "amplitude time t must be real numbers, got dtype complex128"),
+    (lambda m, em: m.amplitude([[0.0, 1.0], [2.0]]), "amplitude time t must be a regular array of numbers"),
+    (lambda m, em: modes.window_tradeoff(OPTIMAL, 0.94, em, ["1", "2"]), "windows must be real numbers, got dtype <U1"),
+    (lambda m, em: modes.window_tradeoff(OPTIMAL, 0.94, em, [1j, 2j]),
+     "windows must be real numbers, got dtype complex128"),
+    (lambda m, em: modes.window_tradeoff(OPTIMAL, 0.94, em, [[1e-7], []]),
+     "windows must be a regular array of numbers"),
+])
+def test_mode_times_and_windows_must_be_regular_arrays_of_real_numbers(call, message):
+    # a string is no longer parsed as a time, and a complex one raises no bare TypeError
+    with pytest.raises(InvalidParameter, match=f"^{message}$"):
+        call(modes.emitted_mode(1.0), EmitterParams.from_lifetime(TAU))
+
+
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("tail", [[math.inf], [math.inf, math.inf], [math.nan], [2.0, math.nan]])
 def test_window_tradeoff_rejects_a_non_finite_window(tail):
     # [1, inf, inf] has the NaN step inf - inf, which a "step <= 0" test lets through

@@ -458,4 +458,23 @@ def test_grid_stores_list_and_integer_axes_as_float_arrays():
 def test_grid_arrays_are_frozen():
     grid = wigner.wigner_of_state(fock.to_density(fock.make_fock_vector([1.0])), resolution=17)
     assert not grid.values.flags.writeable
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(("values", "message"), [
+    (np.zeros((3, 3), dtype=complex), "values must be real numbers, got dtype complex128"),
+    (np.zeros((3, 3)).astype(str), "values must be real numbers, got dtype <U32"),
+    ([[0.0] * 3, [0.0] * 3, [0.0] * 2], "values must be a regular array of numbers"),
+])
+def test_grid_values_must_be_a_regular_array_of_real_numbers(values, message):
+    axis = np.linspace(-4.0, 4.0, 3)
+    with pytest.raises(InvalidState, match=f"^{message}$"):
+        wigner.WignerGrid(x1=axis, x2=axis, values=values, integral=1.0)
+
+
+def test_grid_stores_list_values_as_a_frozen_float_array():
+    grid = wigner.wigner_of_state(fock.to_density(fock.make_fock_vector([0.6, 0.8])), resolution=17)
+    as_lists = wigner.WignerGrid(x1=grid.x1, x2=grid.x2, values=grid.values.tolist(), integral=grid.integral)
+    assert as_lists.values.dtype == np.float64 and not as_lists.values.flags.writeable
+    assert np.array_equal(as_lists.values, grid.values)
     assert abs(grid.integral_error - abs(grid.integral - 1.0)) == 0.0
