@@ -41,10 +41,10 @@ EXIT_IO = 4
 _REQUIRED = object()
 
 # Caps on the inputs that size memory; larger values exit 2.  Results are held
-# as numpy arrays or float rows.  CSV text is streamed in blocks of _CHUNK_ROWS
-# rows, and a JSON document, whose arrays are small except for a Wigner grid,
-# is built whole before its one write (a 1,001^2 grid peaks near 220 MiB).  So
-# the caps bound the arrays, the JSON text and the run time.  A phase scan draws
+# as numpy arrays or float rows, and both formats write their text as they
+# format it: CSV in blocks of _CHUNK_ROWS rows, JSON a block (one row of floats)
+# at a time.  So the caps bound the arrays and the run time, and a 1,001^2
+# Wigner grid peaks near 145 MiB in either format.  A phase scan draws
 # samples x n-phases values, so that product has its own cap: either input at
 # its cap with the other at its default passes, both at their caps (4.1e9
 # draws, minutes of work) do not.
@@ -106,8 +106,8 @@ SCHEMAS: dict[str, list[Param]] = {
         Param("theta", float, help="atom preparation polar angle", domain=_ANGLE),
         Param("phi", float, 0.0, help="atom preparation azimuthal phase", domain=_ANGLE),
         Param("coupling", float, 1.0, help="atom-field coupling rate", domain=_POSITIVE),
-        Param("omega", float, 0.0, help="resonant angular frequency (0 = rotating frame)",
-              domain=partial(require_in, lo=0)),
+        Param("omega", float, 0.0, help="atom and field angular frequency, echoed in the header only:"
+              " the rows are quoted in the frame rotating at it", domain=partial(require_in, lo=0)),
         Param("t-max", float, help="sweep end time", domain=_POSITIVE),
         Param("steps", int, 200, help="number of grid points", cap=MAX_STEPS, domain=_least(2)),
     ],
@@ -146,7 +146,6 @@ SCHEMAS: dict[str, list[Param]] = {
     ],
 }
 
-STOCHASTIC = {command for command, schema in SCHEMAS.items() if _SEED in schema}
 DEFAULT_FORMAT = {
     "variance": "json",
     "jc-sweep": "csv",
@@ -164,7 +163,9 @@ class CommandOutput:
     lists only when JSON is written.  `columns` are the CSV table, named
     columns that are either 1-D float values (a numpy array or an
     array.array("d")) or a list of cell text; when it is None the CSV body
-    is the one-row table of the scalar results."""
+    is the one-row table of the scalar results.  `extra_meta` holds the
+    command's own header fields, written after n_max: a stochastic run's seed
+    and generator, or a grid's convention and integral."""
 
     n_max: int
     result: dict
@@ -250,41 +251,16 @@ def _fmt(v) -> str:
     return float.__repr__(v) if isinstance(v, float) else str(v)
 
 
-def _jsonable(v):
-    """v as JSON values, every non-finite float at any depth replaced by its repr."""
-    # a result holds arrays only if numpy is loaded; otherwise isinstance(v, ()) is always False
-    arrays = getattr(sys.modules.get("numpy"), "ndarray", ())
-
-    def clean(v):
-        if isinstance(v, arrays):
-            v = v.tolist()
-        if isinstance(v, float) and not math.isfinite(v):
-            return repr(v)
-        if isinstance(v, dict):
-            return {k: clean(x) for k, x in v.items()}
-        if isinstance(v, (list, tuple)):
-            return [clean(x) for x in v]
-        return v
-
-    return clean(v)
-
-
 def _meta(command: str, params: dict, out: CommandOutput) -> dict:
-    meta = {
+    return {
         "artifact": "atomsqueeze",
         "version": __version__,
         "command": command,
         "parameters": {p.name: params[p.name] for p in SCHEMAS[command]},
         "n_max": out.n_max,
+        **out.extra_meta,
+        "timestamp": datetime.now(timezone.utc).isoformat(),
     }
-    if command in STOCHASTIC:
-        from .homodyne import GENERATOR_ID  # loaded already by the stochastic handler
-
-        meta["seed"] = params["seed"]
-        meta["rng"] = GENERATOR_ID
-    meta.update(out.extra_meta)
-    meta["timestamp"] = datetime.now(timezone.utc).isoformat()
-    return meta
 
 
 def _cells(col: "np.ndarray | array | list[str]"):
@@ -293,10 +269,35 @@ def _cells(col: "np.ndarray | array | list[str]"):
 
 
 def _json_text(meta: dict, result: dict, fh) -> None:
-    """Write the JSON document.  This and _csv_text format and write, so the
-    cli.serialize span that bench/tracing.py wraps them in by name covers both."""
-    # keep the document strict JSON: no bare Infinity/NaN tokens
-    fh.write(json.dumps(_jsonable({"meta": meta, "result": result}), indent=2) + "\n")
+    """Write the JSON document in json.dumps(indent=2)'s layout, each block as
+    it is formatted: an array as its list, and each non-finite float as its
+    repr string, so the document stays strict JSON.  This and _csv_text format
+    and write, so the cli.serialize span that bench/tracing.py wraps them in by
+    name covers both."""
+    # a result holds arrays only if numpy is loaded; otherwise isinstance(v, ()) is always False
+    arrays = getattr(sys.modules.get("numpy"), "ndarray", ())
+
+    def write(head: str, v, pad: str):
+        """Write head, then v, whose inner lines are indented by pad and two spaces."""
+        if isinstance(v, arrays):
+            v = v.tolist()
+        if isinstance(v, float) and not math.isfinite(v):
+            v = repr(v)
+        if not (isinstance(v, (dict, list, tuple)) and v):
+            return fh.write(head + json.dumps(v))
+        inner, (opening, closing) = pad + "  ", "{}" if isinstance(v, dict) else "[]"
+        head, sep, tail = head + opening + "\n" + inner, ",\n" + inner, "\n" + pad + closing
+        if all(type(x) is float and math.isfinite(x) for x in v):  # a row of floats is one write
+            return fh.write(head + sep.join(map(float.__repr__, v)) + tail)
+        for x in v:
+            if isinstance(v, dict):  # x is a key: write it, then its value
+                head, x = head + json.dumps(x) + ": ", v[x]
+            write(head, x, inner)
+            head = sep
+        fh.write(tail)
+
+    write("", {"meta": meta, "result": result}, "")
+    fh.write("\n")
 
 
 def _csv_text(meta: dict, columns: dict[str, "np.ndarray | array | list[str]"], fh) -> None:
@@ -320,12 +321,13 @@ def _source_spec(params: dict, phase_key: str = "phi") -> SuperpositionSpec:
     return SuperpositionSpec(beta_abs=params["beta"], rel_phase=params[phase_key])
 
 
-def _table(n_max: int, header: list, rows: list) -> CommandOutput:
+def _table(n_max: int, header: list, rows: list, **extra_meta) -> CommandOutput:
     """Output whose JSON result and CSV body are the same plain float rows."""
     return CommandOutput(
         n_max=n_max,
         result={"columns": header, "rows": rows},
         columns={name: array("d", col) for name, col in zip(header, zip(*rows))},
+        extra_meta=extra_meta,
     )
 
 
@@ -422,7 +424,8 @@ def _run_homodyne(params: dict, explicit: set) -> CommandOutput:
         "exact_variance": exact.variance,
         "exact_db": variance_to_db(exact.variance),
     }
-    return CommandOutput(n_max=rho.n_max, result=result, columns={"sample": samples})
+    seeded = {"seed": params["seed"], "rng": homodyne.GENERATOR_ID}
+    return CommandOutput(n_max=rho.n_max, result=result, columns={"sample": samples}, extra_meta=seeded)
 
 
 def _run_phase_scan(params: dict, explicit: set) -> CommandOutput:
@@ -434,7 +437,7 @@ def _run_phase_scan(params: dict, explicit: set) -> CommandOutput:
         rho, params["eta"], params["samples"], params["seed"], params["n-phases"]
     )
     header = ["phi_lo", "var_hat", "db_hat", "std_error", "var_exact", "db_exact"]
-    return _table(rho.n_max, header, rows.tolist())
+    return _table(rho.n_max, header, rows.tolist(), seed=params["seed"], rng=homodyne.GENERATOR_ID)
 
 
 def _run_budget(params: dict, explicit: set) -> CommandOutput:

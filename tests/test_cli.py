@@ -13,6 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from atomsqueeze import cli, fock, homodyne, jaynes_cummings as jc, modes, superposition, wigner
 from atomsqueeze.closed_forms import SuperpositionSpec, _linspace, _transient_rows
@@ -879,18 +880,71 @@ def test_cli_domain_and_library_guard_agree_at_its_edges(command, param):
     assert set(verdicts) == {True, False}
 
 
-def test_jsonable_cleans_non_finite_floats_at_any_depth():
+def _json_result(result) -> object:
+    """The result that _json_text writes, parsed back with no bare Infinity/NaN allowed."""
+    buf = io.StringIO()
+    cli._json_text({}, result, buf)
+    return json.loads(buf.getvalue(), parse_constant=_reject_constant)["result"]
+
+
+def test_json_text_cleans_non_finite_floats_at_any_depth():
     doc = {"a": [1.0, math.nan, (math.inf, {"b": [-math.inf]})], "c": 2}
-    clean = cli._jsonable(doc)
-    assert clean == {"a": [1.0, "nan", ["inf", {"b": ["-inf"]}]], "c": 2}
-    json.loads(json.dumps(clean), parse_constant=_reject_constant)
+    assert _json_result(doc) == {"a": [1.0, "nan", ["inf", {"b": ["-inf"]}]], "c": 2}
 
 
-def test_jsonable_turns_arrays_into_lists():
-    finite = cli._jsonable({"rows": np.array([[0.25, -1.5], [2.0, 3.0]])})
+def test_json_text_turns_arrays_into_lists():
+    finite = _json_result({"rows": np.array([[0.25, -1.5], [2.0, 3.0]])})
     assert finite == {"rows": [[0.25, -1.5], [2.0, 3.0]]}
     assert type(finite["rows"][0][0]) is float
-    assert cli._jsonable(np.array([1.0, -np.inf, np.nan])) == [1.0, "-inf", "nan"]
+    assert _json_result(np.array([1.0, -np.inf, np.nan])) == [1.0, "-inf", "nan"]
+
+
+def _jsonable_oracle(v):
+    """The whole-document copy that _json_text replaced: arrays as lists and
+    every non-finite float at any depth as its repr, for json.dumps to format."""
+    if isinstance(v, np.ndarray):
+        v = v.tolist()
+    if isinstance(v, float) and not math.isfinite(v):
+        return repr(v)
+    if isinstance(v, dict):
+        return {k: _jsonable_oracle(x) for k, x in v.items()}
+    if isinstance(v, (list, tuple)):
+        return [_jsonable_oracle(x) for x in v]
+    return v
+
+
+_ANY_FLOAT = st.one_of(
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf, math.nan, 0.1, 1e300]),
+)
+_JSON_LEAVES = st.one_of(
+    _ANY_FLOAT,
+    _ANY_FLOAT.map(np.float64),
+    st.lists(st.floats(allow_nan=False, allow_infinity=False)),  # the one-write row
+    hnp.arrays(np.float64, hnp.array_shapes(min_dims=1, max_dims=2, min_side=0, max_side=4), elements=_ANY_FLOAT),
+    st.integers(),
+    st.booleans(),
+    st.none(),
+    st.text(st.sampled_from(['"', "\\", "\n", "\t", "\x00", "a", "é", "\u2202", "\U0001f600", "/"])),
+)
+_JSON_DOCS = st.recursive(
+    _JSON_LEAVES,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=4),
+        st.lists(inner, max_size=4).map(tuple),
+        st.dictionaries(st.text(max_size=4), inner, max_size=4),
+    ),
+    max_leaves=12,
+)
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(st.dictionaries(st.text(max_size=4), _JSON_DOCS, max_size=4), _JSON_DOCS)
+def test_json_text_matches_the_whole_document_dump_byte_for_byte(meta, result):
+    buf = io.StringIO()
+    cli._json_text(meta, result, buf)
+    oracle = json.dumps(_jsonable_oracle({"meta": meta, "result": result}), indent=2) + "\n"
+    assert buf.getvalue() == oracle
 
 
 # ----------------------------------------------------------------------- fuzz
@@ -1174,10 +1228,10 @@ class _FailingSink:
         return len(text)
 
 
-@pytest.mark.parametrize(("fmt", "failing_write"), [("csv", 2), ("json", 1)])
+@pytest.mark.parametrize(("fmt", "failing_write"), [("csv", 2), ("json", 1), ("json", 3)])
 def test_a_failing_write_exits_4(fmt, failing_write, monkeypatch, capsys):
     # CSV writes its header, then the rows: the second write fails midway.
-    # JSON is one write.
+    # JSON is written block by block: the third write fails inside the header.
     sink = _FailingSink(failing_write)
     monkeypatch.setattr(sys, "stdout", sink)
     assert cli.main(["wigner", "--beta", "0.5", "--res", "16", "--format", fmt]) == 4
@@ -1215,3 +1269,22 @@ def test_homodyne_csv_at_the_sample_cap_streams_in_bounded_memory():
     code, peak_kib = map(int, proc.stderr.split())
     assert code == 0
     assert peak_kib < 100 * 1024
+
+
+@pytest.mark.skipif(not os.path.exists("/proc/self/status"), reason="reads VmHWM from /proc")
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_wigner_at_the_resolution_cap_streams_in_bounded_memory(fmt):
+    # both formats write the 1,001^2 grid block by block: near 145 MiB each,
+    # where a JSON document built whole peaked near 227 MiB
+    child = (
+        "import re, sys\n"
+        "from atomsqueeze import cli\n"
+        f"code = cli.main(['wigner', '--beta', '0.5', '--res', '1001', '--format', '{fmt}'])\n"
+        "sys.stdout.flush()\n"
+        "status = open('/proc/self/status').read()\n"
+        "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1), file=sys.stderr)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", child], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    code, peak_kib = map(int, proc.stderr.split())
+    assert code == 0
+    assert peak_kib < 190 * 1024
