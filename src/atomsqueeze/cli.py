@@ -270,10 +270,10 @@ def _cells(col: "np.ndarray | array | list[str]"):
 
 def _json_text(meta: dict, result: dict, fh) -> None:
     """Write the JSON document in json.dumps(indent=2)'s layout, each block as
-    it is formatted: an array as its list, and each non-finite float as its
-    repr string, so the document stays strict JSON.  This and _csv_text format
-    and write, so the cli.serialize span that bench/tracing.py wraps them in by
-    name covers both."""
+    it is formatted: an array as its list, and each non-finite float as the
+    float.__repr__ string that _fmt writes to CSV, so the document stays strict
+    JSON.  This and _csv_text format and write, so the cli.serialize span that
+    bench/tracing.py wraps them in by name covers both."""
     # a result holds arrays only if numpy is loaded; otherwise isinstance(v, ()) is always False
     arrays = getattr(sys.modules.get("numpy"), "ndarray", ())
 
@@ -282,7 +282,7 @@ def _json_text(meta: dict, result: dict, fh) -> None:
         if isinstance(v, arrays):
             v = v.tolist()
         if isinstance(v, float) and not math.isfinite(v):
-            v = repr(v)
+            v = float.__repr__(v)
         if not (isinstance(v, (dict, list, tuple)) and v):
             return fh.write(head + json.dumps(v))
         inner, (opening, closing) = pad + "  ", "{}" if isinstance(v, dict) else "[]"

@@ -18,6 +18,9 @@ quadrature variance maps as V -> eta_total V + (1 - eta_total)/4.
 A TemporalMode is checked once, when it is built; the closed forms read its
 normalisation A = 1/sqrt(integral of e^{-2 rate t} over [0, window]) and
 never sample the envelope.  Each record stores its inputs and derives the rest.
+The window sweep builds the emitted mode once, reads each rate-matched LO's
+normalisation from one integral, which is also its overlap integral with the
+emitted mode, and builds one budget record per window.
 """
 
 __all__ = [
@@ -241,11 +244,21 @@ def detected_squeezing(
 
 def _window_rows(source: SuperpositionSpec, eta_collection: float, emitter: EmitterParams, windows: list[float],
                  eta_detector: float = 1.0) -> list[tuple]:
-    """window_tradeoff's rows as float tuples, for windows the caller has checked."""
+    """window_tradeoff's rows as float tuples, for windows the caller has checked.
+
+    Each rate-matched LO's normalisation is read from one integral, which is
+    also its overlap integral with the emitted mode (em.rate + em.rate ==
+    2.0 * em.rate exactly), so no LO mode is built and inner is mode_overlap's,
+    in its order of operations.  A finite window > 0 and the emitted mode's
+    checked rate put that integral in (0, inf), where the LO's checks cannot
+    fail.  Each window builds one budget record, as detected_squeezing does.
+    """
     em = emitted_mode(emitter.gamma_rate)
     rows = []
     for w in windows:
-        budget = detected_squeezing(source, eta_collection, em, lo_mode(emitter.gamma_rate, w), eta_detector)
+        integral = _decay_integral(2.0 * em.rate, w)
+        inner = em._front * (1.0 / math.sqrt(integral)) * integral
+        budget = EfficiencyBudget("custom", eta_collection, min(1.0, inner * inner), eta_detector, min_variance(source))
         rows.append((w, budget.eta_overlap, budget.detected_db))
     return rows
 

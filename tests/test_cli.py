@@ -899,13 +899,18 @@ def test_json_text_turns_arrays_into_lists():
     assert _json_result(np.array([1.0, -np.inf, np.nan])) == [1.0, "-inf", "nan"]
 
 
+def test_json_text_writes_a_non_finite_numpy_float_as_csv_does():
+    # a numpy scalar reads "nan", as _fmt writes it, not numpy's repr "np.float64(nan)"
+    assert _json_result({"x": np.float64("nan"), "y": [np.float64("-inf")]}) == {"x": "nan", "y": ["-inf"]}
+
+
 def _jsonable_oracle(v):
     """The whole-document copy that _json_text replaced: arrays as lists and
     every non-finite float at any depth as its repr, for json.dumps to format."""
     if isinstance(v, np.ndarray):
         v = v.tolist()
     if isinstance(v, float) and not math.isfinite(v):
-        return repr(v)
+        return float.__repr__(v)
     if isinstance(v, dict):
         return {k: _jsonable_oracle(x) for k, x in v.items()}
     if isinstance(v, (list, tuple)):

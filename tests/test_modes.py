@@ -1,9 +1,12 @@
 """Temporal modes, overlap integrals, linewidths, and the detection budget."""
 
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 from scipy import integrate
 
 from atomsqueeze import cli, fock, modes, superposition
@@ -167,6 +170,26 @@ def test_closed_form_overlap_matches_quadrature_oracle():
                 assert abs(modes.mode_overlap(em, lo) - _quad_overlap(em, lo)) < 1e-12
 
 
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.floats(-300.0, 300.0), st.floats(-8.0, 8.0))
+def test_untruncated_overlap_is_the_closed_form(log_a, log_ratio):
+    # <f_a, f_b> = 2 sqrt(a b) / (a + b) for untruncated modes of amplitude rates a and b
+    a = 10.0 ** log_a
+    b = a * 10.0 ** log_ratio
+    assume(2.0 * b < math.inf)  # a rate whose norm integral overflows builds no mode
+    want = 4.0 * (a / (a + b)) * (b / (a + b))
+    assert abs(modes.mode_overlap(TemporalMode(a), TemporalMode(b)) - want) <= 16 * 2.0**-52 * want
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(st.floats(-300.0, 300.0), st.floats(-3.0, 3.0))
+def test_rate_matched_truncated_overlap_is_the_closed_form(log_gamma, log_gamma_window):
+    gamma = 10.0 ** log_gamma
+    window = 10.0 ** log_gamma_window / gamma
+    got = modes.mode_overlap(modes.emitted_mode(gamma), modes.lo_mode(gamma, window))
+    assert abs(got - modes.matched_overlap(gamma, window)) <= 16 * 2.0**-52
+
+
 def test_matched_overlap_validation():
     with pytest.raises(InvalidParameter):
         modes.matched_overlap(0.0, 1.0)
@@ -322,6 +345,60 @@ def test_window_tradeoff_matches_the_per_window_oracle():
         rows, want = modes.window_tradeoff(*args), _per_window_tradeoff(*args)
         assert rows.shape == want.shape
         assert np.array_equal(rows.view(np.int64), want.view(np.int64))
+
+
+def _outcome(call):
+    """A call's rows as int64 bits, or the class and message of what it raised."""
+    try:
+        return call().view(np.int64).tolist()
+    except Exception as exc:
+        return type(exc), str(exc)
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("tau", [5.6e-309, 1e-300, 1e-9, 230e-9, 1.0, 1e100, 1e300, 1.7e308])
+def test_window_tradeoff_matches_the_per_window_oracle_on_edge_windows(tau):
+    # subnormal, smallest-normal and largest windows, at both ends of every efficiency
+    emitter = EmitterParams.from_lifetime(tau)
+    windows = (5e-324, 1e-323, 2.2250738585072014e-308, 1e-300, 1e-12, 1e-7, 1.0, 1e10, 1e300,
+               1.7976931348623157e308)
+    for w, eta_c, eta_d, beta in itertools.product(windows, (0.0, 5e-324, 0.5, 1.0), (0.0, 0.37, 1.0), (0.0, 0.5, 1.0)):
+        args = (SuperpositionSpec(beta, 0.0), eta_c, emitter, np.array([w]), eta_d)
+        assert _outcome(lambda: modes.window_tradeoff(*args)) == _outcome(lambda: _per_window_tradeoff(*args))
+
+
+def test_window_sweep_at_its_steps_cap_matches_the_per_window_oracle(tmp_path):
+    out = tmp_path / "w.csv"
+    assert cli.main(["window-sweep", "--collection", "0.94", "--steps", "100000", "--out", str(out)]) == 0
+    body = [line for line in out.read_text().splitlines() if not line.startswith("#")]
+    assert body[0] == "window_s,window_lifetimes,eta_overlap,detected_db"
+    rows = np.array([[float(x) for x in line.split(",")] for line in body[1:]])
+    emitter = EmitterParams.from_lifetime(230.0 * 1e-9)
+    want = _per_window_tradeoff(OPTIMAL, 0.94, emitter, rows[:, 0])
+    want = np.column_stack([want[:, 0], want[:, 0] / emitter.lifetime_tau, want[:, 1:]])
+    assert rows.shape == (100_000, 4)
+    assert np.array_equal(rows.view(np.int64), want.view(np.int64))
+
+
+def test_window_tradeoff_builds_one_mode_and_one_budget_per_window(monkeypatch):
+    # the sweep builds the emitted mode once and reads each rate-matched LO from one integral
+    calls = Counter()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return call
+
+    for name in ("_decay_integral", "lo_mode", "mode_overlap", "detected_squeezing"):
+        monkeypatch.setattr(modes, name, counted(name, getattr(modes, name)))
+    for cls in (TemporalMode, modes.EfficiencyBudget):
+        monkeypatch.setattr(cls, "__post_init__", counted(cls.__name__, cls.__post_init__))
+    windows = np.linspace(0.5, 10.0, 1000) * TAU
+    modes.window_tradeoff(OPTIMAL, 0.94, EmitterParams.from_lifetime(TAU), windows)
+    # the emitted mode's own check takes two integrals, and each window at most two
+    assert calls.pop("_decay_integral") <= 2 + 2 * 1000
+    assert calls == {"TemporalMode": 1, "EfficiencyBudget": 1000}
 
 
 def test_window_tradeoff_validation():
