@@ -19,11 +19,20 @@ product array.  That halves the multiplications, and the skipped products
 are exact zeros, which OpenBLAS's SkylakeX dgemm kernel adds without
 rounding, so the bits are those of the full product (its Haswell kernel
 sums in another order, and there the two agree to round-off only).
+The CDF grid is mirror-symmetric bit for bit: np.linspace's upper half,
+and its exact negation below.  IEEE round-to-nearest is sign-symmetric, so
+the recurrence gives psi_n(-x) = (-1)^n psi_n(x) exactly, and p(-x) is the
+marginal at x of (-1)^(m+n) rho~_mn.  So the psi blocks cover the upper
+half only, and the lower half is folded from them: for a rho~ with no odd
+m - n entries that matrix is rho~ itself and p(-x) = p(x), with no second
+product; otherwise each block takes one more product, on the sign-flipped
+matrix.  Every value is the one the full grid's product gives, bit for
+bit while psi_0(x) > 0 (|x| < 27.29; beyond, a zero may differ in sign).
 `tabulated_cdf` computes each psi block as it needs it, so it never holds
 an (n_max+1) x len(x) array of psi.  `phase_scan` computes the moments of
 each phase once, for both the support and the exact variance, and
 consecutive phases with equal supports (every n_max = 1 state has [-6, 6])
-share one grid and its list of psi blocks, (n_max+1) x 2^16 doubles, and
+share one grid and its list of psi blocks, (n_max+1) x 2^15 doubles, and
 every phase tabulates into one marginal and one CDF buffer.  The
 arithmetic per block is the same either way.  The kernels rotate the
 matrix and never build a state: rho~ is read, not checked again.
@@ -113,19 +122,28 @@ def _parity_product(rho: np.ndarray, psi: np.ndarray) -> np.ndarray:
     return prod
 
 
-def _marginal(rho: np.ndarray, blocks, size: int, out=None) -> np.ndarray:
+def _marginal(rho: np.ndarray, blocks, size: int, out=None, mirror=None) -> np.ndarray:
     """p(x) = sum_mn rho_mn psi_m(x) psi_n(x) for real rho, block by block, into `out` if given.
 
     Where rho_mn is zero for every odd m - n, rho @ psi is two products on
     the even and the odd Fock block; the terms they skip are exact zeros.
+    Given `mirror`, p(-x) goes there, point for point: psi_n(-x) is
+    (-1)^n psi_n(x) exactly, so p(-x) is the marginal at x of
+    (-1)^(m+n) rho_mn, which is rho itself where it splits; otherwise it
+    takes a second product per block, on that sign-flipped matrix.
     """
     vals = np.empty(size) if out is None else out
     split = not (rho[0::2, 1::2].any() or rho[1::2, 0::2].any())
+    if not (mirror is None or split):
+        signs = (-1.0) ** np.arange(rho.shape[0])
+        flipped = rho * np.outer(signs, signs)
     start = 0
     for psi in blocks:
         stop = start + psi.shape[1]
-        # the product is a temporary, freed before the next psi block is built
+        # each product is a temporary, freed before the next psi block is built
         vals[start:stop] = np.einsum("mx,mx->x", psi, _parity_product(rho, psi) if split else rho @ psi)
+        if mirror is not None:
+            mirror[start:stop] = vals[start:stop] if split else np.einsum("mx,mx->x", psi, flipped @ psi)
         start = stop
     return vals
 
@@ -156,10 +174,23 @@ def _half_width(stats: fock.QuadratureStats) -> float:
     return max(MIN_HALF_WIDTH, abs(stats.mean) + SUPPORT_SIGMAS * math.sqrt(stats.variance))
 
 
+def _grid(half: float) -> np.ndarray:
+    """The CDF grid on [-half, half]: np.linspace's upper half, and its exact negation below."""
+    xs = np.linspace(-half, half, CDF_POINTS)
+    np.negative(xs[CDF_POINTS // 2 :][::-1], out=xs[: CDF_POINTS // 2])
+    return xs
+
+
 def _tabulate(state: fock.FockDensity, phi_lo: float, xs: np.ndarray, blocks, p=None, cdf=None) -> np.ndarray:
-    """Normalised trapezoid CDF of X_phi_lo on xs, from the psi `blocks` of xs, in `p` and `cdf` if given."""
+    """Normalised trapezoid CDF of X_phi_lo on a _grid xs, in `p` and `cdf` if given.
+
+    `blocks` are the psi blocks of the grid's upper half; the lower half of
+    the marginal is folded from them, since xs == -xs[::-1] exactly.
+    """
     rho = fock._rotated(state.matrix, phi_lo).real
-    p = _marginal(rho, blocks, xs.size, p)
+    p = np.empty(xs.size) if p is None else p
+    mid = xs.size // 2
+    _marginal(rho, blocks, mid, p[mid:], p[mid - 1 :: -1])
     if not (np.min(p) >= DENSITY_FLOOR):
         raise InvalidState(f"marginal density reaches {float(np.min(p))!r} < {DENSITY_FLOOR}")
     # in place, in the order the out-of-place form took, so every bit is the same
@@ -180,9 +211,8 @@ def _tabulate(state: fock.FockDensity, phi_lo: float, xs: np.ndarray, blocks, p=
 
 def tabulated_cdf(state: fock.FockDensity, phi_lo: float) -> tuple[np.ndarray, np.ndarray]:
     """(x grid, CDF) of the X_phi_lo marginal on a support sized to the state."""
-    half = _half_width(fock.quadrature_stats(state, phi_lo))
-    xs = np.linspace(-half, half, CDF_POINTS)
-    return xs, _tabulate(state, phi_lo, xs, _psi_blocks(state.n_max, xs))
+    xs = _grid(_half_width(fock.quadrature_stats(state, phi_lo)))
+    return xs, _tabulate(state, phi_lo, xs, _psi_blocks(state.n_max, xs[CDF_POINTS // 2 :]))
 
 
 @dataclass(frozen=True)
@@ -378,8 +408,8 @@ def phase_scan(
         stats = fock.quadrature_stats(lossy, phi)
         w = _half_width(stats)
         if w != half:
-            half, xs = w, np.linspace(-w, w, CDF_POINTS)
-            basis = list(_psi_blocks(lossy.n_max, xs))
+            half, xs = w, _grid(w)
+            basis = list(_psi_blocks(lossy.n_max, xs[CDF_POINTS // 2 :]))
         _tabulate(lossy, phi, xs, basis, p, cdf)
         rng = np.random.Generator(np.random.Philox(streams[k]))
         est = estimate_variance(_draw(xs, cdf, n_samples, rng))

@@ -254,11 +254,13 @@ def _window_rows(source: SuperpositionSpec, eta_collection: float, emitter: Emit
     fail.  Each window builds one budget record, as detected_squeezing does.
     """
     em = emitted_mode(emitter.gamma_rate)
+    # fixed across the sweep, so read once: _front is a property that integrates
+    front, rate, variance = em._front, 2.0 * em.rate, min_variance(source)
     rows = []
     for w in windows:
-        integral = _decay_integral(2.0 * em.rate, w)
-        inner = em._front * (1.0 / math.sqrt(integral)) * integral
-        budget = EfficiencyBudget("custom", eta_collection, min(1.0, inner * inner), eta_detector, min_variance(source))
+        integral = _decay_integral(rate, w)
+        inner = front * (1.0 / math.sqrt(integral)) * integral
+        budget = EfficiencyBudget("custom", eta_collection, min(1.0, inner * inner), eta_detector, variance)
         rows.append((w, budget.eta_overlap, budget.detected_db))
     return rows
 

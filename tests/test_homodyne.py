@@ -2,6 +2,7 @@
 
 import math
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -19,7 +20,17 @@ from helpers import PEAK_SLACK_BYTES, random_mixture, traced_peak
 
 VACUUM = fock.to_density(fock.make_fock_vector([1.0]))
 ONE_THIRD = fock.to_density(superposition.make_superposition(SuperpositionSpec(math.sqrt(1.0 / 3.0), 0.0)))
-OLD_GRID = np.linspace(-6.0, 6.0, homodyne.CDF_POINTS)  # the fixed grid every n_max = 1 state keeps
+HALF = homodyne.CDF_POINTS // 2
+
+
+def _mirrored(half):
+    """np.linspace(-half, half) with its lower half the exact negation of its upper half."""
+    xs = np.linspace(-half, half, homodyne.CDF_POINTS)
+    xs[:HALF] = -xs[HALF:][::-1]
+    return xs
+
+
+OLD_GRID = _mirrored(6.0)  # the fixed grid every n_max = 1 state keeps
 
 
 def _einsum_marginal(state, phi_lo, x):
@@ -75,6 +86,20 @@ def test_hermite_functions_equal_the_plain_recurrence_bit_for_bit(half):
             x = xs[start : start + 4096]
             got = homodyne.hermite_functions(n_max, x)
             assert np.array_equal(_bits(got), _bits(_hermite_oracle(n_max, x))), (n_max, start)
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(n_max=st.integers(0, 100), x=st.just(0.0) | st.floats(-40.0, 40.0))
+def test_hermite_functions_have_exact_parity(n_max, x):
+    # IEEE round-to-nearest is sign-symmetric, so the recurrence on -x is its
+    # run on x with every odd row negated: psi_n(-x) = (-1)^n psi_n(x)
+    got = homodyne.hermite_functions(n_max, -x)
+    want = (-1.0) ** np.arange(n_max + 1) * homodyne.hermite_functions(n_max, x)
+    assert np.array_equal(got, want)
+    # beyond |x| = 27.29 psi_0 underflows to 0, and there y - y = +0 whatever
+    # the sign of y, so only there may a zero differ in sign
+    if want[0] != 0.0:
+        assert np.array_equal(_bits(got), _bits(want))
 
 
 def test_hermite_functions_match_scipy_polynomials():
@@ -219,11 +244,66 @@ def test_marginal_never_sees_more_than_one_block(monkeypatch):
     monkeypatch.setattr(homodyne, "hermite_functions", recording)
     vec, _ = superposition.squeezed_vacuum(0.5, 20)
     homodyne.tabulated_cdf(fock.to_density(vec), 0.4)
-    assert sum(sizes) == homodyne.CDF_POINTS
+    assert sum(sizes) == homodyne.CDF_POINTS // 2
     assert max(sizes) <= homodyne._MARGINAL_BLOCK
 
 
+@pytest.mark.parametrize("half", [1e-3, 1.0, 6.0, 6.88, 8.8, 1e3])
+def test_the_grid_is_linspace_s_upper_half_and_its_mirror(half):
+    xs = homodyne._grid(half)
+    assert np.array_equal(_bits(xs[HALF:]), _bits(np.linspace(-half, half, homodyne.CDF_POINTS)[HALF:]))
+    assert np.array_equal(_bits(xs), _bits(-xs[::-1])) and xs[0] == -half and xs[-1] == half
+    assert np.all(np.diff(xs) > 0.0)
+
+
+FOLD_STATES = [("mixture", n) for n in (1, 2, 3, 20, 52, 100)] + [("squeezed", n) for n in (20, 52, 100)]
+
+
+@pytest.mark.parametrize(("kind", "n_max"), FOLD_STATES)
+def test_folded_marginal_equals_the_full_kernel_bit_for_bit(kind, n_max):
+    # _tabulate folds the upper half's blocks into both halves of p; p(-x)
+    # negates whole terms of the product at x, so unlike the parity split
+    # this holds under OpenBLAS's Haswell dgemm kernel too
+    if kind == "mixture":
+        state = random_mixture(np.random.default_rng(n_max), n_max)[0]
+    else:
+        state = _lossy_squeezed_vacuum(n_max)
+    for phi in (0.0, 0.4, math.pi / 2.0, 2.9):
+        xs = homodyne._grid(homodyne._half_width(fock.quadrature_stats(state, phi)))
+        rho = fock._rotated(state.matrix, phi).real
+        full = homodyne._marginal(rho, homodyne._psi_blocks(n_max, xs), xs.size)
+        p = np.empty(xs.size)
+        homodyne._marginal(rho, homodyne._psi_blocks(n_max, xs[HALF:]), HALF, p[HALF:], p[HALF - 1 :: -1])
+        assert np.array_equal(_bits(p), _bits(full)), phi
+
+
+def test_a_split_state_tabulates_a_mirror_symmetric_marginal():
+    state = _lossy_squeezed_vacuum(20)
+    p = np.empty(homodyne.CDF_POINTS)
+    for phi in (0.0, 0.4, math.pi / 2.0, 2.9):
+        xs = homodyne._grid(homodyne._half_width(fock.quadrature_stats(state, phi)))
+        homodyne._tabulate(state, phi, xs, homodyne._psi_blocks(20, xs[HALF:]), p)
+        assert np.array_equal(_bits(p), _bits(p[::-1]))
+
+
+@pytest.mark.parametrize(("state", "split", "products"), [
+    (fock.to_density(superposition.squeezed_vacuum(0.5, 20)[0]), 8, 8),
+    (ONE_THIRD, 0, 16),  # a coherence rho_01: each block takes a second product, for p(-x)
+])
+def test_tabulation_evaluates_the_basis_on_half_the_grid(state, split, products, monkeypatch):
+    sizes, seen = [], Counter()
+    hermite, parity, einsum = homodyne.hermite_functions, homodyne._parity_product, np.einsum
+    monkeypatch.setattr(homodyne, "hermite_functions", lambda n, x: sizes.append(np.size(x)) or hermite(n, x))
+    monkeypatch.setattr(homodyne, "_parity_product", lambda rho, psi: seen.update(["split"]) or parity(rho, psi))
+    monkeypatch.setattr(np, "einsum", lambda *args: seen.update(["einsum"]) or einsum(*args))
+    homodyne.tabulated_cdf(state, 0.4)
+    assert sizes == [homodyne._MARGINAL_BLOCK] * (HALF // homodyne._MARGINAL_BLOCK)
+    assert seen == Counter(split=split, einsum=products)
+
+
 def test_n_max_1_states_keep_the_fixed_grid():
+    assert np.array_equal(OLD_GRID, -OLD_GRID[::-1]) and OLD_GRID[0] == -6.0 and OLD_GRID[-1] == 6.0
+    assert np.array_equal(OLD_GRID[HALF:], np.linspace(-6.0, 6.0, homodyne.CDF_POINTS)[HALF:])
     rng = np.random.default_rng(2024)
     for _ in range(50):
         spec = SuperpositionSpec(float(rng.uniform(0.0, 1.0)), float(rng.uniform(0.0, 2.0 * math.pi)))
@@ -349,23 +429,23 @@ def test_tabulate_rejects_a_marginal_below_the_density_floor():
 
 def test_tabulate_rejects_a_grid_that_misses_mass():
     # [-1, 1] is two vacuum standard deviations: it holds 0.9545 of the mass
-    xs = np.linspace(-1.0, 1.0, homodyne.CDF_POINTS)
+    xs = _mirrored(1.0)
     with pytest.raises(InvalidState, match=r"mass on \[-1\.0, 1\.0\] is 0\.9544\d*, not 1") as exc:
-        homodyne._tabulate(VACUUM, 0.0, xs, homodyne._psi_blocks(VACUUM.n_max, xs))
+        homodyne._tabulate(VACUUM, 0.0, xs, homodyne._psi_blocks(VACUUM.n_max, xs[HALF:]))
     assert "np.float64" not in str(exc.value)
 
 
 @pytest.mark.parametrize("n_max", [1, 20, 52])
 def test_tabulate_in_place_equals_the_out_of_place_trapezoid(n_max):
-    # the form _tabulate had before it reused its buffers, kept as the oracle, bit for bit
+    # the form _tabulate had before it reused its buffers and folded the
+    # marginal, on the full grid, kept as the oracle, bit for bit
     rho = random_mixture(np.random.default_rng(n_max), n_max)[0]
     for phi in (0.0, 0.7, 2.9):
-        half = homodyne._half_width(fock.quadrature_stats(rho, phi))
-        xs = np.linspace(-half, half, homodyne.CDF_POINTS)
+        xs = _mirrored(homodyne._half_width(fock.quadrature_stats(rho, phi)))
         p = homodyne._marginal(fock._rotated(rho.matrix, phi).real, homodyne._psi_blocks(n_max, xs), xs.size)
         p = np.clip(p, 0.0, None)
         cdf = np.concatenate([[0.0], np.cumsum((p[1:] + p[:-1]) * ((xs[1] - xs[0]) / 2.0))])
-        got = homodyne._tabulate(rho, phi, xs, homodyne._psi_blocks(n_max, xs))
+        got = homodyne._tabulate(rho, phi, xs, homodyne._psi_blocks(n_max, xs[HALF:]))
         assert np.array_equal((cdf / cdf[-1]).view(np.int64), got.view(np.int64))
 
 
@@ -882,8 +962,8 @@ def _hermite_calls(monkeypatch, state, n_phases):
 
 
 def test_phase_scan_builds_the_basis_once_per_support(monkeypatch):
-    blocks = homodyne.CDF_POINTS // homodyne._MARGINAL_BLOCK
-    assert blocks == 16
+    blocks = HALF // homodyne._MARGINAL_BLOCK
+    assert blocks == 8
     # every n_max = 1 state has the support [-6, 6]: one basis for all phases
     assert _hermite_calls(monkeypatch, ONE_THIRD, 8) == [homodyne._MARGINAL_BLOCK] * blocks
     # n_max = 20 at 8 phases: supports 6, 6, 6.88, 6, 6, 6, 6.88, 6 change

@@ -401,6 +401,18 @@ def test_window_tradeoff_builds_one_mode_and_one_budget_per_window(monkeypatch):
     assert calls == {"TemporalMode": 1, "EfficiencyBudget": 1000}
 
 
+def test_window_tradeoff_takes_one_integral_per_window(monkeypatch):
+    # the emitted mode's check takes two integrals and its normalisation one,
+    # read once before the loop; then each window takes its own
+    seen = []
+    real = modes._decay_integral
+    monkeypatch.setattr(modes, "_decay_integral", lambda rate, window: seen.append(window) or real(rate, window))
+    windows = np.linspace(0.5, 10.0, 1000) * TAU
+    modes.window_tradeoff(OPTIMAL, 0.94, EmitterParams.from_lifetime(TAU), windows)
+    assert len(seen) == 1003
+    assert seen == [math.inf] * 3 + windows.tolist()
+
+
 def test_window_tradeoff_validation():
     em = EmitterParams.from_lifetime(TAU)
     with pytest.raises(InvalidParameter):

@@ -3,6 +3,9 @@
 import dataclasses
 import math
 import pathlib
+import subprocess
+import sys
+import textwrap
 import types
 import warnings
 
@@ -106,6 +109,33 @@ def test_pyproject_reads_the_version_from_the_package():
         warnings.simplefilter("ignore")  # setuptools calls its [tool.setuptools] table beta
         config = pyprojecttoml.read_configuration(pathlib.Path(__file__).parents[1] / "pyproject.toml")
     assert config["project"]["version"] == atomsqueeze.__version__
+
+
+def test_a_failing_property_is_reported_and_the_session_runs_on(tmp_path):
+    # on a failure hypothesis's pytest plugin imports libcst, whose import of
+    # mypy_extensions warns; under error::DeprecationWarning that warning was
+    # an INTERNALERROR that ended the session before the next test ran
+    (tmp_path / "test_child.py").write_text(textwrap.dedent("""
+        from hypothesis import given, settings, strategies as st
+
+
+        @settings(max_examples=10, database=None, derandomize=True)
+        @given(st.integers(0, 10))
+        def test_fails(n):
+            assert n < 0
+
+
+        def test_passes():
+            pass
+    """))
+    pyproject = pathlib.Path(__file__).parents[1] / "pyproject.toml"
+    proc = subprocess.run(
+        [sys.executable, "-m", "pytest", "-c", str(pyproject), "-p", "no:cacheprovider", "test_child.py"],
+        capture_output=True, text=True, cwd=tmp_path, timeout=300,
+    )
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "1 failed, 1 passed" in proc.stdout
+    assert "INTERNALERROR" not in proc.stdout + proc.stderr
 
 
 # each record stores only its inputs; every other figure is a property derived from them
