@@ -31,7 +31,7 @@ from . import __version__
 from .closed_forms import AtomPrep, JCParams, SuperpositionSpec, _linspace, _transient_rows
 from .closed_forms import min_variance, quadrature_variances, squeezing_region, variance_to_db
 from .errors import DegenerateData, InvalidParameter, InvalidState, NotSupported
-from .errors import require_finite, require_in, require_int
+from .errors import _interval, require_finite, require_in, require_int
 
 EXIT_OK = 0
 EXIT_PARAMETER = 2
@@ -85,6 +85,15 @@ _ANGLE = partial(require_in, lo=0, hi=math.tau, open_hi=True)  # [0, 2 pi)
 
 def _least(least: int) -> partial:
     return partial(require_int, least=least)
+
+
+def _domain_words(domain) -> str:
+    """A domain in the words its guard's message uses, from the guard's bound arguments."""
+    if domain is require_finite:
+        return "finite"
+    if domain.func is require_in:
+        return _interval(**domain.keywords)
+    return f"an integer >= {domain.keywords['least']}"
 
 
 _BETA = Param("beta", float, help="one-photon amplitude |beta| of the source state", domain=_UNIT)
@@ -532,8 +541,10 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, schema in SCHEMAS.items():
         p = sub.add_parser(command)
         for prm in schema:
-            cap = "" if prm.cap is None else f" (at most {prm.cap:,})"
-            p.add_argument(f"--{prm.name}", type=prm.type, default=None, help=prm.help + cap)
+            notes = [] if prm.domain is None else [_domain_words(prm.domain)]
+            notes += [] if prm.cap is None else [f"at most {prm.cap:,}"]
+            text = f"{prm.help}; {', '.join(notes)}" if notes else prm.help
+            p.add_argument(f"--{prm.name}", type=prm.type, default=None, help=text)
         p.add_argument("--config", default=None, help="key = value parameter file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument(

@@ -55,9 +55,15 @@ def require_in(name: str, value, lo, hi=math.inf, *, open_lo: bool = False, open
     infinite hi is always excluded, and the message reads "finite and > lo"."""
     above = lo < value if open_lo else lo <= value
     if not (above and (value < hi if open_hi or hi == math.inf else value <= hi)):
-        domain = (f"finite and {'>' if open_lo else '>='} {lo!r}" if hi == math.inf
-                  else f"in {'(' if open_lo else '['}{lo!r}, {hi!r}{')' if open_hi else ']'}")
+        domain = _interval(lo, hi, open_lo=open_lo, open_hi=open_hi)
         raise InvalidParameter(f"{name} must be {domain}, got {_shown(value)}")
+
+
+def _interval(lo, hi=math.inf, *, open_lo: bool = False, open_hi: bool = False) -> str:
+    """require_in's domain in the words of its message, as --help shows it too."""
+    if hi == math.inf:
+        return f"finite and {'>' if open_lo else '>='} {lo!r}"
+    return f"in {'(' if open_lo else '['}{lo!r}, {hi!r}{')' if open_hi else ']'}"
 
 
 def require_int(name: str, value, least: int) -> None:

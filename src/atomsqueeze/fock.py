@@ -226,10 +226,9 @@ def _loss_weights(n_max: int, eta: float) -> list[np.ndarray]:
     require_in("loss transmission eta", eta, 0, 1)
     dim = n_max + 1
     # 0.0**0 == 1.0 handles the eta = 0 and eta = 1 endpoints exactly
-    return [
-        np.sqrt([math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k for n in range(k, dim)])
-        for k in range(dim)
-    ]
+    kept = [eta**j for j in range(dim)]
+    lost = [(1.0 - eta) ** k for k in range(dim)]
+    return [np.sqrt([math.comb(n, k) * kept[n - k] * lost[k] for n in range(k, dim)]) for k in range(dim)]
 
 
 def loss_kraus_operators(n_max: int, eta: float) -> list[np.ndarray]:
@@ -252,12 +251,18 @@ def apply_loss(state: FockDensity, eta: float) -> FockDensity:
     (Leonhardt, Measuring the Quantum State of Light, 1997).  It is the
     Kraus sum sum_k K_k rho K_k^dag term for term, added in the same order,
     so the result is bit-identical to it without the n_max+1 dense
-    operators.  Exactly trace preserving on the truncated space; variance
-    obeys V' = eta V + (1 - eta)/4 for every state and LO phase.
+    operators.  A real rho (every squeezed vacuum, lossy or not) is summed
+    in float64: the complex products' imaginary parts would all be +-0 and
+    out starts at +0, so the bits are those of the complex sum.  Exactly
+    trace preserving on the truncated space; variance obeys
+    V' = eta V + (1 - eta)/4 for every state and LO phase.
     """
     rho = state.matrix
+    if not rho.imag.any():
+        rho = rho.real
     out = np.zeros_like(rho)
     for k, s in enumerate(_loss_weights(state.n_max, eta)):
         out[: s.size, : s.size] += s[:, None] * rho[k:, k:] * s[None, :]
+    out = out.astype(complex, copy=False)
     out = (out + out.conj().T) / 2.0  # scrub float asymmetry, channel is Hermiticity preserving
     return FockDensity(out)

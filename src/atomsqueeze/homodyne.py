@@ -336,7 +336,7 @@ def estimate_variance(samples: np.ndarray) -> VarianceEstimate:
         d2 = x - mean
         d2 *= d2
         var = float(d2.sum() / (n - 1))  # np.var(x, ddof=1) bit for bit
-        m4 = float(np.dot(d2, d2) / n)
+        m4 = float(np.einsum("i,i->", d2, d2) / n)  # no BLAS: the bits do not depend on its thread count
     if not math.isfinite(m4):
         bad = ~np.isfinite(x)
         # else the sample farthest from the mean, whose fourth power overflows

@@ -880,6 +880,38 @@ def test_cli_domain_and_library_guard_agree_at_its_edges(command, param):
     assert set(verdicts) == {True, False}
 
 
+def _flag_help(command: str, flag: str, capsys) -> str:
+    """One flag's line of a subcommand's --help, with argparse's wrapping undone."""
+    assert cli.main([command, "--help"]) == 0
+    text = " ".join(capsys.readouterr().out.split())
+    head = f"--{flag} {flag.upper().replace('-', '_')} "
+    assert head in text
+    return text.split(head, 1)[1].split(" --", 1)[0]
+
+
+# one flag per guard kind: finite, a closed, a half-open and two one-sided
+# intervals, and an integer floor with its cap
+@pytest.mark.parametrize(("command", "flag", "words"), [
+    ("variance", "phi", "relative phase of the one-photon amplitude; finite"),
+    ("variance", "beta", "of the source state; in [0, 1]"),
+    ("jc-sweep", "theta", f"polar angle; in [0, {math.tau!r})"),
+    ("jc-sweep", "coupling", "coupling rate; finite and > 0"),
+    ("jc-sweep", "omega", "rotating at it; finite and >= 0"),
+    ("jc-sweep", "steps", f"number of grid points; an integer >= 2, at most {cli.MAX_STEPS:,}"),
+])
+def test_help_shows_each_guard_kind(command, flag, words, capsys):
+    assert _flag_help(command, flag, capsys).endswith(words)
+
+
+@pytest.mark.parametrize(("command", "param"), DOMAINS, ids=_DOMAIN_IDS)
+def test_help_words_a_domain_as_its_guard_does(command, param, capsys):
+    with pytest.raises(InvalidParameter) as exc:
+        param.domain(param.name, _outside(param))
+    words = str(exc.value).removeprefix(f"{param.name} must be ").rsplit(", got ", 1)[0]
+    cap = "" if param.cap is None else f", at most {param.cap:,}"
+    assert _flag_help(command, param.name, capsys).endswith(f"; {words}{cap}")
+
+
 def _json_result(result) -> object:
     """The result that _json_text writes, parsed back with no bare Infinity/NaN allowed."""
     buf = io.StringIO()

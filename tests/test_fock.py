@@ -6,7 +6,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from atomsqueeze import fock
+from atomsqueeze import fock, superposition
 from atomsqueeze.errors import InvalidParameter, InvalidState
 from helpers import braket_quadrature, ensemble_quadrature, random_fock_vector, random_mixture
 
@@ -384,6 +384,40 @@ def test_apply_loss_equals_kraus_sum_bit_for_bit(n_max):
         out = fock.apply_loss(rho, eta).matrix
         ref = _kraus_sum(rho.matrix, eta)
         assert np.array_equal(out.view(np.int64), ref.view(np.int64)), eta
+
+
+def _real_states():
+    """(name, density) pairs with an all-zero imaginary part: squeezed vacua
+    from to_density (signed zeros there), with and without loss, and a real
+    mixture."""
+    for n_max in (20, 52, 100):
+        pure = fock.to_density(superposition.squeezed_vacuum(0.75, n_max)[0])
+        yield f"sq-n{n_max}", pure
+        yield f"sq-n{n_max}-lossy", fock.apply_loss(pure, 0.7)
+    rng = np.random.default_rng(SEED + 50)
+    vecs = rng.standard_normal((3, 9))
+    weights = rng.dirichlet(np.ones(3))
+    rho = sum(w * np.outer(v, v) / (v @ v) for w, v in zip(weights, vecs))
+    yield "real-mixture-n8", fock.FockDensity((rho + rho.T) / 2.0 + 0j)
+
+
+@pytest.mark.parametrize("rho", [pytest.param(rho, id=name) for name, rho in _real_states()])
+def test_apply_loss_on_a_real_state_equals_kraus_sum_bit_for_bit(rho):
+    assert not rho.matrix.imag.any()
+    for eta in (0.0, 1e-300, 0.3, 0.75, 0.999999, 1.0):
+        out = fock.apply_loss(rho, eta).matrix
+        ref = _kraus_sum(rho.matrix, eta)
+        assert np.array_equal(out.view(np.int64), ref.view(np.int64)), eta
+
+
+@pytest.mark.parametrize("n_max", [1, 20, 100])
+def test_loss_weights_equal_the_per_element_expression_bit_for_bit(n_max):
+    for eta in (0.0, 1e-300, 0.3, 0.75, 0.999999, 1.0):
+        weights = fock._loss_weights(n_max, eta)
+        assert len(weights) == n_max + 1
+        for k, s in enumerate(weights):
+            ref = np.sqrt([math.comb(n, k) * eta ** (n - k) * (1.0 - eta) ** k for n in range(k, n_max + 1)])
+            assert np.array_equal(s.view(np.int64), ref.view(np.int64)), (eta, k)
 
 
 def test_apply_loss_builds_no_kraus_operators(monkeypatch):

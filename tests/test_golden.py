@@ -8,10 +8,15 @@ case in CHANGES.md.
 
 import hashlib
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from atomsqueeze import cli
 from golden import make_goldens
 
 GOLDENS = json.loads(make_goldens.GOLDEN_PATH.read_text(encoding="utf-8"))
@@ -65,3 +70,21 @@ def test_golden_bytes_match_the_stored_hash(name, outputs):
     _, raw = outputs(name)
     digest = hashlib.sha256(make_goldens.strip_timestamp(raw)).hexdigest()
     assert digest == golden["sha256"], f"{name}: output bytes moved ({NUMPY_NOTE})"
+
+
+def test_golden_bytes_do_not_depend_on_the_blas_thread_count(tmp_path):
+    """A sum that BLAS splits across threads moves its last bit with their count."""
+    name = "readme-homodyne-json"
+    src_dir = str(Path(cli.__file__).resolve().parents[1])
+    digests = []
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads)
+        env["PYTHONPATH"] = os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")])
+        target = tmp_path / f"out-{threads}"
+        proc = subprocess.run(
+            [sys.executable, "-m", "atomsqueeze.cli", *CASES[name]["argv"], "--out", str(target)],
+            capture_output=True, text=True, env=env,
+        )
+        assert proc.returncode == 0, proc.stderr
+        digests.append(hashlib.sha256(make_goldens.strip_timestamp(target.read_bytes())).hexdigest())
+    assert digests == [GOLDENS["cases"][name]["sha256"]] * 2

@@ -511,7 +511,7 @@ def test_estimators_keep_the_bits_of_1d_samples():
     mean = float(np.mean(x))
     d2 = (x - mean) ** 2
     var = float(d2.sum() / 1000)
-    m4 = float(np.dot(d2, d2) / 1001)
+    m4 = float(np.einsum("i,i->", d2, d2) / 1001)
     assert (est.mean_hat, est.var_hat) == (mean, var)
     assert est.std_error_of_var == math.sqrt(max(0.0, (m4 - var * var * 998.0 / 1000.0) / 1001))
     xs, cdf = homodyne.tabulated_cdf(ONE_THIRD, 0.0)

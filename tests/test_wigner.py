@@ -114,10 +114,28 @@ def _grid(res, x1=(-4.0, 4.0), x2=(-4.0, 4.0)):
     return np.linspace(*x1, res)[:, None] + 1j * np.linspace(*x2, res)[None, :]
 
 
+def _random_points():
+    """Random complex points, no two with the same |2 alpha|^2."""
+    rng = np.random.default_rng(3501)
+    alpha = rng.uniform(-3.0, 3.0, (23, 19)) + 1j * rng.uniform(-3.0, 3.0, (23, 19))
+    assert np.unique((2.0 * alpha * (2.0 * alpha).conj()).real).size == alpha.size
+    return alpha
+
+
+# signed zeros and repeated values on both axes
+SIGNED_ZERO_AXIS = np.array([-2.5, -1.0, -0.0, -0.0, 0.0, 0.0, 0.75, 0.75, 1.0, 2.5])
+
+
 @pytest.mark.parametrize(
     "alpha",
-    [_grid(41), _grid(201), _grid(37, (-1.3, 2.9), (0.4, 3.1))],
-    ids=["41x41", "201x201", "off-centre"],
+    [
+        _grid(41),
+        _grid(201),
+        _grid(37, (-1.3, 2.9), (0.4, 3.1)),
+        _random_points(),
+        SIGNED_ZERO_AXIS[:, None] + 1j * SIGNED_ZERO_AXIS[None, ::-1],
+    ],
+    ids=["41x41", "201x201", "off-centre", "random-points", "signed-zero-axes"],
 )
 def test_kernel_equals_the_complex_accumulation_bit_for_bit(alpha):
     for name, rho in _kernel_oracle_states():
@@ -126,20 +144,27 @@ def test_kernel_equals_the_complex_accumulation_bit_for_bit(alpha):
 
 
 def test_kernel_allocates_complex_buffers_only_for_a_complex_diagonal(monkeypatch):
+    """Complex work arrays are made only for a complex diagonal, and every
+    work array but the gather target holds one point per distinct
+    x = |2 alpha|^2: the recurrence runs once per radius."""
     made = []
     real_empty = np.empty
 
     def recording(shape, dtype=float):
-        made.append(np.dtype(dtype))
+        made.append((shape, np.dtype(dtype).kind))
         return real_empty(shape, dtype)
 
     monkeypatch.setattr(wigner.np, "empty", recording)
     states = dict(_kernel_oracle_states())
     alpha = _grid(17)
-    for name, complex_buffers in (("sq-n20-lossy", 0), ("n1-rel0.0", 0), ("n1-rel1.0", 2)):
+    distinct = np.unique((2.0 * alpha * (2.0 * alpha).conj()).real).size
+    assert distinct < alpha.size
+    real = [(distinct,)] * 5 + [alpha.shape]
+    for name, complex_buffers in (("sq-n20-lossy", []), ("n1-rel0.0", []), ("n1-rel1.0", [(distinct,)] * 2 + [alpha.shape])):
         made.clear()
         wigner._displacement_kernel(states[name], alpha)
-        assert sum(dt.kind == "c" for dt in made) == complex_buffers, name
+        assert [shape for shape, kind in made if kind == "f"] == real, name
+        assert [shape for shape, kind in made if kind == "c"] == complex_buffers, name
 
 
 # the traced peak of one n_max = 100 41 x 41 wigner_of_state call under the complex accumulation
