@@ -3,6 +3,11 @@
 Bad caller input raises InvalidParameter; a state or record that breaks a
 physical invariant raises InvalidState.  Each guard fails on NaN and shows
 the value as the Python number it equals, so np.float64(nan) reads nan.
+
+Every runtime invariant of a state record (norm, trace, Hermiticity,
+positivity, the Wigner bound, a tabulated marginal's floor and mass) is
+checked by one guard, require_within, against its entry in TOLERANCES: the
+one table of the tolerance each invariant allows and the message it raises.
 """
 
 __all__ = [
@@ -42,6 +47,31 @@ def _shown(value) -> str:
     # a numpy scalar can only exist once numpy is loaded, so a closed-form run never imports it
     np = sys.modules.get("numpy")
     return repr(value.item() if np is not None and isinstance(value, np.generic) else value)
+
+
+# invariant -> (the largest error it allows, its InvalidState message with a {} per value require_within shows);
+# a floor's error is minus the least value, as negation is exact
+TOLERANCES = {
+    "fock_norm": (1e-12, "FockVector norm {} is not 1 within 1e-12"),
+    "density_hermiticity": (1e-12, "density matrix is not Hermitian within 1e-12"),
+    "density_trace": (1e-12, "density matrix trace {} is not 1 within 1e-12"),
+    "density_least_eigenvalue": (1e-10, "density matrix has an eigenvalue below -1e-10"),
+    "joint_norm": (1e-9, "joint state norm {} is not 1 within 1e-9"),  # the RK4 integrator's norm drift
+    "mode_norm": (1e-10, "mode L2 norm is {}, not 1 within 1e-10"),
+    "wigner_bound": (2.0 / math.pi + 1e-9, "Wigner values are not finite, or exceed the 2/pi bound"),
+    "marginal_floor": (1e-12, "marginal density reaches {} < -1e-12"),
+    "marginal_mass": (1e-6, "marginal mass on [{}, {}] is {}, not 1"),
+}
+
+
+def require_within(invariant: str, error, *shown) -> None:
+    """Raise InvalidState unless error <= the invariant's tolerance; NaN fails.
+
+    The message is formatted only on failure, with each of `shown` as _shown gives it.
+    """
+    tol, message = TOLERANCES[invariant]
+    if not error <= tol:
+        raise InvalidState(message.format(*map(_shown, shown)))
 
 
 def require_finite(name: str, value) -> None:

@@ -50,11 +50,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import VACUUM_VARIANCE, variance_to_db
-from .errors import InvalidParameter, InvalidState, require_finite, require_in, require_int
-
-HERMITICITY_TOL = 1e-12
-TRACE_TOL = 1e-12
-PSD_TOL = -1e-10
+from .errors import InvalidParameter, InvalidState, require_finite, require_in, require_int, require_within
 
 
 @dataclass(frozen=True)
@@ -68,8 +64,7 @@ class FockVector:
         if amps.ndim != 1 or amps.size < 2:
             raise InvalidState("FockVector needs a 1-D amplitude array with n_max >= 1")
         norm = np.linalg.norm(amps)
-        if not (abs(norm - 1.0) <= 1e-12):
-            raise InvalidState(f"FockVector norm {float(norm)!r} is not 1 within 1e-12")
+        require_within("fock_norm", abs(norm - 1.0), norm)
         _freeze(self, amplitudes=amps)
 
     @property
@@ -87,15 +82,11 @@ class FockDensity:
         rho = _numbers(self.matrix, "matrix", InvalidState, complex)
         if rho.ndim != 2 or rho.shape[0] != rho.shape[1] or rho.shape[0] < 2:
             raise InvalidState("FockDensity needs a square matrix with n_max >= 1")
-        # every check is written so that a NaN entry fails it
-        if not (np.max(np.abs(rho - rho.conj().T)) <= HERMITICITY_TOL):
-            raise InvalidState("density matrix is not Hermitian within 1e-12")
+        require_within("density_hermiticity", np.max(np.abs(rho - rho.conj().T)))
         tr = np.trace(rho).real
-        if not (abs(tr - 1.0) <= TRACE_TOL):
-            raise InvalidState(f"density matrix trace {float(tr)!r} is not 1 within 1e-12")
+        require_within("density_trace", abs(tr - 1.0), tr)
         # eigvalsh is cheap at the truncations used here: ~1 ms at n_max = 100
-        if not (np.min(np.linalg.eigvalsh(rho)) >= PSD_TOL):
-            raise InvalidState("density matrix has an eigenvalue below -1e-10")
+        require_within("density_least_eigenvalue", -np.min(np.linalg.eigvalsh(rho)))
         _freeze(self, matrix=rho)
 
     @property

@@ -69,13 +69,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .errors import DegenerateData, InvalidParameter, InvalidState, require_finite, require_in, require_int
+from .errors import DegenerateData, InvalidParameter, require_finite, require_in, require_int, require_within
 
 GENERATOR_ID = "numpy-philox4x64"
 CDF_POINTS = 2**16
 MIN_HALF_WIDTH = 6.0  # every n_max = 1 state fits well inside [-6, 6]
 SUPPORT_SIGMAS = 6.5  # half-width beyond |mean| in units of the exact standard deviation
-DENSITY_FLOOR = -1e-12  # marginal values below this mean a broken state
 _MARGINAL_BLOCK = 4096  # x points per psi block in the marginal
 _DRAW_CHUNK = 2**16  # uniforms per chunk of the inverse CDF
 _GUIDE_BINS = 2**16  # most guide-table bins
@@ -191,8 +190,8 @@ def _tabulate(state: fock.FockDensity, phi_lo: float, xs: np.ndarray, blocks, p=
     p = np.empty(xs.size) if p is None else p
     mid = xs.size // 2
     _marginal(rho, blocks, mid, p[mid:], p[mid - 1 :: -1])
-    if not (np.min(p) >= DENSITY_FLOOR):
-        raise InvalidState(f"marginal density reaches {float(np.min(p))!r} < {DENSITY_FLOOR}")
+    least = np.min(p)
+    require_within("marginal_floor", -least, least)
     # in place, in the order the out-of-place form took, so every bit is the same
     np.clip(p, 0.0, None, out=p)
     cdf = np.empty(xs.size) if cdf is None else cdf
@@ -202,9 +201,7 @@ def _tabulate(state: fock.FockDensity, phi_lo: float, xs: np.ndarray, blocks, p=
     trapezoids *= (xs[1] - xs[0]) / 2.0
     np.cumsum(trapezoids, out=trapezoids)
     total = cdf[-1]
-    if not (abs(total - 1.0) <= 1e-6):
-        half = float(xs[-1])
-        raise InvalidState(f"marginal mass on [{-half!r}, {half!r}] is {float(total)!r}, not 1")
+    require_within("marginal_mass", abs(total - 1.0), -xs[-1], xs[-1], total)
     cdf /= total
     return cdf
 

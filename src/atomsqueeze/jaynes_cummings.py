@@ -46,7 +46,7 @@ import numpy as np
 
 from . import fock
 from .closed_forms import AtomPrep, JCParams, SuperpositionSpec, _require_resonant, _resonant_variances, _transient_rows
-from .errors import InvalidParameter, InvalidState, _shown, require_finite, require_in, require_int
+from .errors import InvalidParameter, InvalidState, _shown, require_finite, require_in, require_int, require_within
 
 NUMERIC_N_MAX = 4  # field truncation for the integrator; exact support is n <= 1
 MAX_STABLE_DT = 0.01  # in units of 1/coupling
@@ -67,9 +67,7 @@ class JointAtomFieldState:
         if e.ndim != 1 or e.shape != g.shape or e.size < 2:
             raise InvalidState("amp_e and amp_g must be equal-length 1-D arrays, n_max >= 1")
         norm = math.sqrt(float(np.sum(np.abs(e) ** 2) + np.sum(np.abs(g) ** 2)))
-        # loosest producer is the numeric integrator (norm drift <= 1e-9)
-        if not (abs(norm - 1.0) <= 1e-9):
-            raise InvalidState(f"joint state norm {norm!r} is not 1 within 1e-9")
+        require_within("joint_norm", abs(norm - 1.0), norm)
         fock._freeze(self, amp_e=e, amp_g=g)
 
     @property

@@ -43,7 +43,7 @@ import sys
 from dataclasses import dataclass
 
 from .closed_forms import VACUUM_VARIANCE, SuperpositionSpec, min_variance, variance_to_db
-from .errors import InvalidParameter, InvalidState, _shown, require_in
+from .errors import InvalidParameter, InvalidState, _shown, require_in, require_within
 
 # Wigner-Weisskopf lifetimes, seconds; presets are data, not code
 EMITTER_PRESETS = {
@@ -113,8 +113,7 @@ class TemporalMode:
         a = self._front
         # A (A I), not A^2 I: for a subnormal window A^2 overflows while A I does not
         norm = a * (a * _decay_integral(2.0 * self.rate, self.window))
-        if not (abs(norm - 1.0) <= 1e-10):
-            raise InvalidState(f"mode L2 norm is {norm!r}, not 1 within 1e-10")
+        require_within("mode_norm", abs(norm - 1.0), norm)
 
     @property
     def shape(self) -> str:

@@ -30,7 +30,7 @@ from .closed_forms import (
     superposition_variance,
     variance_at_lo_phase,
 )
-from .errors import InvalidParameter, InvalidState, require_in, require_int
+from .errors import InvalidParameter, require_in, require_int
 
 XI_MAX = 5.0  # |xi| beyond this is numerically pointless at the truncations used
 
@@ -41,22 +41,13 @@ def make_superposition(spec: SuperpositionSpec) -> fock.FockVector:
     return fock.make_fock_vector([spec.gamma, beta])
 
 
-def optimal_beta(n_scan: int = 10_000) -> tuple[float, float, float]:
+def optimal_beta() -> tuple[float, float, float]:
     """(beta, variance, dB) of the deepest squeezing over beta and LO phase.
 
-    Analytic optimum beta = 1/2, V = 3/16; a 1-D grid scan over beta
-    cross-checks the analytic minimum to grid resolution.
+    V = 1/4 + beta^2 (beta^2 - 1/2) at the best LO phase is least at
+    beta = 1/2, where V = 3/16.
     """
-    require_int("n_scan", n_scan, 100)
-    beta_opt, v_opt = 0.5, 3.0 / 16.0
-    betas = np.linspace(0.0, 1.0, n_scan)
-    b2 = betas**2
-    v_scan = fock.VACUUM_VARIANCE + b2 * (b2 - 0.5)
-    i = int(np.argmin(v_scan))
-    step = float(betas[1] - betas[0])
-    if abs(float(betas[i]) - beta_opt) > step or abs(float(v_scan[i]) - v_opt) > step:
-        raise InvalidState("grid scan disagrees with the analytic optimum")
-    return beta_opt, v_opt, fock.variance_to_db(v_opt)
+    return 0.5, 3.0 / 16.0, fock.variance_to_db(3.0 / 16.0)
 
 
 def squeezed_vacuum(xi: float, n_max: int) -> tuple[fock.FockVector, float]:

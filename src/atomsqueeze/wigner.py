@@ -32,9 +32,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import fock
-from .errors import InvalidParameter, InvalidState, _shown, require_finite, require_int
+from .errors import InvalidParameter, InvalidState, _shown, require_finite, require_int, require_within
 
-WIGNER_BOUND = 2.0 / math.pi
 MIN_RESOLUTION = 16
 MIN_RANGE_WIDTH = 2.0  # four vacuum standard deviations
 MAX_RANGE_END = 1e150  # keeps |2 alpha|^2 = 4 (x1^2 + x2^2) <= 8e300; see _max_range_end
@@ -64,8 +63,9 @@ class WignerGrid:
                 raise InvalidState(f"{name} must be a 1-D, finite, strictly ascending axis of at least 2 points")
         if values.shape != (x1.size, x2.size):
             raise InvalidState("values shape does not match the axes")
-        if not (np.max(np.abs(values)) <= WIGNER_BOUND + 1e-9 and math.isfinite(self.integral)):
-            raise InvalidState("Wigner values or integral are not finite, or values exceed the 2/pi bound")
+        require_within("wigner_bound", np.max(np.abs(values)))
+        if not math.isfinite(self.integral):
+            raise InvalidState(f"Wigner integral {_shown(self.integral)} is not finite")
         fock._freeze(self, x1=x1, x2=x2, values=values)
 
     @property

@@ -73,7 +73,6 @@ VALID = {
     "n_max": 4,
     "n_phases": 4,
     "n_samples": 100,
-    "n_scan": 100,
     "n_steps": 3,
     "normally_ordered_var_d1": -0.1,
     "omega": 1.0,

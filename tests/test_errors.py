@@ -1,17 +1,30 @@
 """The scalar guards of errors.py and the class policy they carry.
 
-Each guard raises InvalidParameter, fails on NaN, and shows the offending
-value as the Python number it equals, so numpy scalars read like floats.
+Each parameter guard raises InvalidParameter, and require_within raises
+InvalidState against the TOLERANCES table.  Every guard fails on NaN and
+shows the offending value as the Python number it equals, so numpy scalars
+read like floats.
 """
 
+import ast
 import math
+import pathlib
 import re
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from atomsqueeze import fock, homodyne, jaynes_cummings as jc, superposition, wigner
-from atomsqueeze.errors import InvalidParameter, require_finite, require_in, require_int
+from atomsqueeze import errors, fock, homodyne, jaynes_cummings as jc, superposition, wigner
+from atomsqueeze.errors import (
+    TOLERANCES,
+    InvalidParameter,
+    InvalidState,
+    require_finite,
+    require_in,
+    require_int,
+    require_within,
+)
 
 NON_FINITE = (math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf))
 
@@ -117,3 +130,44 @@ PHASE_TAKERS = {
 def test_a_numpy_nan_phase_is_caller_input_and_reads_nan(name):
     with pytest.raises(InvalidParameter, match=r"must be finite, got nan$"):
         PHASE_TAKERS[name](np.float64(math.nan))
+
+
+def _shown_values(invariant):
+    """numpy scalars for each {} of the invariant's message, and the text each must read as."""
+    values = [np.float64(1.25 + k) for k in range(TOLERANCES[invariant][1].count("{}"))]
+    return values, TOLERANCES[invariant][1].format(*(repr(float(v)) for v in values))
+
+
+@pytest.mark.parametrize("invariant", sorted(TOLERANCES))
+def test_require_within_passes_an_error_equal_to_the_tolerance(invariant):
+    tol, _ = TOLERANCES[invariant]
+    values, _ = _shown_values(invariant)
+    for error in (tol, np.float64(tol), 0.0):
+        require_within(invariant, error, *values)
+
+
+@pytest.mark.parametrize("invariant", sorted(TOLERANCES))
+def test_require_within_raises_from_the_next_double_above_the_tolerance(invariant):
+    tol, _ = TOLERANCES[invariant]
+    values, message = _shown_values(invariant)
+    above = math.nextafter(tol, math.inf)
+    for error in (above, np.float64(above), math.inf, math.nan, np.float64(math.nan)):
+        with pytest.raises(InvalidState, match=f"^{re.escape(message)}$") as exc:
+            require_within(invariant, error, *values)
+        assert "np.float64" not in str(exc.value)
+
+
+def test_each_tolerance_is_checked_by_exactly_one_require_within_call():
+    # the table is the one place: no entry is dead, no invariant is checked twice,
+    # and each call shows as many values as its message has {}
+    named = Counter()
+    for path in sorted(pathlib.Path(errors.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text())):
+            func = getattr(node, "func", None)
+            if isinstance(node, ast.Call) and getattr(func, "id", getattr(func, "attr", None)) == "require_within":
+                where = f"{path.name}:{node.lineno}"
+                key = node.args[0]
+                assert isinstance(key, ast.Constant) and key.value in TOLERANCES, where
+                assert len(node.args) - 2 == TOLERANCES[key.value][1].count("{}"), where
+                named[key.value] += 1
+    assert named == Counter(dict.fromkeys(TOLERANCES, 1))

@@ -5,6 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from atomsqueeze import fock, superposition
 from atomsqueeze.errors import InvalidParameter, InvalidState
@@ -485,6 +486,22 @@ def test_loss_variance_identity_on_random_states():
         v_in = fock.quadrature_stats(rho, phi).variance
         v_out = fock.quadrature_stats(fock.apply_loss(rho, eta), phi).variance
         assert abs(v_out - (eta * v_in + (1.0 - eta) / 4.0)) < 1e-12
+
+
+@settings(max_examples=300, deadline=None, database=None, derandomize=True)
+@given(
+    n_max=st.integers(1, 12),
+    n_pure=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    eta=st.floats(0.0, 1.0),
+    phi=st.floats(-10.0, 10.0),
+)
+def test_lossy_variance_law_holds_on_any_mixed_state(n_max, n_pure, seed, eta, phi):
+    # V_out = eta * V_in + (1 - eta)/4, on random mixtures up to n_max = 12
+    rho, _, _ = random_mixture(np.random.default_rng(seed), n_max, n_pure)
+    v_in = fock.quadrature_stats(rho, phi).variance
+    v_out = fock.quadrature_stats(fock.apply_loss(rho, eta), phi).variance
+    assert abs(v_out - (eta * v_in + (1.0 - eta) / 4.0)) <= 1e-12
 
 
 def test_loss_composes_multiplicatively():

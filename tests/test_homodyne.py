@@ -415,8 +415,9 @@ def test_kernels_build_only_the_lossy_state(monkeypatch):
 
 def test_tabulate_rejects_a_marginal_below_the_density_floor():
     # psi = a|0> + b|1> with a = -2 b x0 has a marginal node at x0, a grid
-    # point; mixing in -eps |phi><phi|, phi orthogonal to psi, stays within
-    # PSD_TOL but pushes p(x0) to ~-4e-11, below DENSITY_FLOOR
+    # point; mixing in -eps |phi><phi|, phi orthogonal to psi, keeps the least
+    # eigenvalue above -1e-10 but pushes p(x0) to ~-4e-11, below the -1e-12
+    # marginal floor (TOLERANCES in errors.py)
     x0 = OLD_GRID[32767]
     b = 1.0 / math.sqrt(1.0 + 4.0 * x0 * x0)
     a = -2.0 * b * x0

@@ -421,6 +421,12 @@ def test_window_tradeoff_validation():
         modes.window_tradeoff(OPTIMAL, 0.94, em, np.array([0.0, 1.0]) * TAU)
 
 
+def test_window_tradeoff_rejects_a_repeated_window():
+    # a zero step is not ascending: "np.diff(ws) >= 0.0" would give three rows here
+    with pytest.raises(InvalidParameter, match="strictly ascending"):
+        modes.window_tradeoff(OPTIMAL, 0.94, EmitterParams.from_lifetime(TAU), np.array([1e-7, 1e-7, 2e-7]))
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize(("call", "message"), [
     (lambda m, em: m.amplitude("0.5"), "amplitude time t must be real numbers, got dtype <U3"),

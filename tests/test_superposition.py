@@ -110,8 +110,18 @@ def test_optimal_beta_values():
     assert beta == 0.5
     assert abs(v - 3.0 / 16.0) < 1e-15
     assert round(db, 4) == -1.2494
-    with pytest.raises(InvalidParameter):
-        superposition.optimal_beta(n_scan=50)
+
+
+def test_optimal_beta_agrees_with_a_grid_scan_to_one_step():
+    # V = 1/4 + beta^2 (beta^2 - 1/2) at the best LO phase, scanned over 10,000 betas
+    beta_opt, v_opt, _ = superposition.optimal_beta()
+    betas = np.linspace(0.0, 1.0, 10_000)
+    b2 = betas**2
+    v_scan = fock.VACUUM_VARIANCE + b2 * (b2 - 0.5)
+    i = int(np.argmin(v_scan))
+    step = float(betas[1] - betas[0])
+    assert abs(float(betas[i]) - beta_opt) <= step
+    assert abs(float(v_scan[i]) - v_opt) <= step
 
 
 # ---------------------------------------------------------- squeezed vacuum

@@ -1,6 +1,7 @@
 """Phase-space distribution: kernel values, normalization, marginals."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -483,6 +484,20 @@ def test_grid_stores_list_and_integer_axes_as_float_arrays():
 def test_grid_arrays_are_frozen():
     grid = wigner.wigner_of_state(fock.to_density(fock.make_fock_vector([1.0])), resolution=17)
     assert not grid.values.flags.writeable
+
+
+@pytest.mark.parametrize(("peak", "integral", "message"), [
+    (2.0 / math.pi + 2e-9, 1.0, "Wigner values are not finite, or exceed the 2/pi bound"),
+    (math.nan, 1.0, "Wigner values are not finite, or exceed the 2/pi bound"),
+    (2.0 / math.pi, math.nan, "Wigner integral nan is not finite"),
+    (0.0, np.float64(-math.inf), "Wigner integral -inf is not finite"),
+])
+def test_grid_rejects_values_beyond_the_bound_and_a_non_finite_integral(peak, integral, message):
+    axis = np.linspace(-4.0, 4.0, 3)
+    values = np.zeros((3, 3))
+    values[1, 1] = -peak
+    with pytest.raises(InvalidState, match=f"^{re.escape(message)}$"):
+        wigner.WignerGrid(x1=axis, x2=axis, values=values, integral=integral)
 
 
 @pytest.mark.filterwarnings("error")
