@@ -47,10 +47,17 @@ with each value put back in its uniform's place; above, a guide table
 (Chen & Asau 1974; Devroye 1986, sec. III.2) brackets each u, one step
 forward corrects most misses, and a slope table holding np.interp's own
 per-bracket division gives the chord.  So a seed gives the same samples,
-in the same order, as plain interpolation.  Randomness comes from numpy's
+in the same order, as plain interpolation.  The table path works through
+a few buffers of 2^13 values, allocated once per call and never returned,
+and writes each chunk of samples over its uniforms, so the samples are its
+only array the size of the draw.  Randomness comes from numpy's
 counter-based Philox generator so sample streams are reproducible across
 platforms for a given seed; substreams for multi-phase scans are spawned
 through SeedSequence.
+
+estimate_variance takes the sums of (x - mean)^2 and (x - mean)^4 in numpy's
+own order, block by block, so its variance is np.var(x, ddof=1) and its m4
+the one-shot np.einsum's, bit for bit, without an array of n squares.
 """
 
 __all__ = [
@@ -76,9 +83,11 @@ CDF_POINTS = 2**16
 MIN_HALF_WIDTH = 6.0  # every n_max = 1 state fits well inside [-6, 6]
 SUPPORT_SIGMAS = 6.5  # half-width beyond |mean| in units of the exact standard deviation
 _MARGINAL_BLOCK = 4096  # x points per psi block in the marginal
-_DRAW_CHUNK = 2**16  # uniforms per chunk of the inverse CDF
+_DRAW_CHUNK = 2**13  # uniforms per chunk of the inverse CDF
 _GUIDE_BINS = 2**16  # most guide-table bins
 _INTERP_MAX_DRAWS = 2**14  # fewer draws than this go to np.interp in ascending order
+_SUM_LEAF = 2**16  # most samples per leaf of the variance's pairwise sum
+_EINSUM_BLOCK = 8192  # np.einsum adds one partial sum per block of this many, whatever np.setbufsize says
 
 
 def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
@@ -272,7 +281,10 @@ def _draw(xs: np.ndarray, cdf: np.ndarray, n: int, rng: "np.random.Generator") -
     then np.interp's own: xs[j] where u == cdf[j], else the chord
     slope[j] * (u - cdf[j]) + xs[j], with slope the same per-bracket
     division np.interp makes, done once per CDF.  Uniforms become samples
-    in place, one chunk at a time, so temporaries stay chunk-sized.
+    in place, one chunk of _DRAW_CHUNK at a time: each chunk runs through
+    the same five work buffers (two float, two index, one mask), allocated
+    once per call, and its values are written over its uniforms.  The
+    slope's temporaries are freed before the uniforms are drawn.
     """
     if n < _INTERP_MAX_DRAWS:
         u = rng.random(n)
@@ -281,23 +293,25 @@ def _draw(xs: np.ndarray, cdf: np.ndarray, n: int, rng: "np.random.Generator") -
         return u
     bins = min(_GUIDE_BINS, 1 << (int(n).bit_length() - 1))
     guide = np.searchsorted(cdf, np.arange(bins + 1) / bins, "right") - 1
-    out = rng.random(n)
     # a flat CDF run gives an infinite slope, and a subnormal step can too;
     # np.interp meets one only where u == cdf[j], which takes xs[j] below
     with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
         slope = np.diff(xs) / np.diff(cdf)
+        out = rng.random(n)
+        work = (*np.empty((2, _DRAW_CHUNK)), *np.empty((2, _DRAW_CHUNK), np.intp), np.empty(_DRAW_CHUNK, bool))
         for start in range(0, n, _DRAW_CHUNK):
             u = out[start : start + _DRAW_CHUNK]
-            j = guide[(u * bins).astype(np.intp)]
-            j += u >= cdf[j + 1]
-            far = u >= cdf[j + 1]
-            if far.any():
-                j[far] = np.searchsorted(cdf, u[far], "right") - 1
-            lo = cdf[j]
-            x = slope[j] * (u - lo) + xs[j]
-            on_knot = u == lo
-            x[on_knot] = xs[j[on_knot]]
-            u[:] = x
+            t, v, j, b, hit = (a[: u.size] for a in work)
+            np.copyto(b, np.multiply(u, bins, out=t), casting="unsafe")  # (u * bins).astype(np.intp)
+            np.take(guide, b, out=j)
+            j += np.greater_equal(u, np.take(cdf[1:], j, out=t), out=hit)  # u >= cdf[j + 1]
+            if np.greater_equal(u, np.take(cdf[1:], j, out=t), out=hit).any():
+                j[hit] = np.searchsorted(cdf, u[hit], "right") - 1
+            np.equal(u, np.take(cdf, j, out=t), out=hit)  # on a knot, np.interp gives xs[j]
+            np.subtract(u, t, out=t)
+            t *= np.take(slope, j, out=v)
+            np.add(t, np.take(xs, j, out=v), out=u)
+            np.copyto(u, v, where=hit)
     return out
 
 
@@ -316,11 +330,58 @@ def _real_vector(values, name: str = "samples") -> np.ndarray:
     return x
 
 
+def _pairwise(x: np.ndarray, leaf) -> float:
+    """The sum numpy's contiguous add.reduce makes of x, with leaf(node) summing each node of at most _SUM_LEAF.
+
+    add.reduce is one pairwise sum: above 128 elements it splits n at
+    n//2 - (n//2) % 8 and adds the two halves' sums.  The leaves are called
+    in order, and their sums are added back in the tree's order.
+    """
+    half = x.size // 2 - x.size // 2 % 8
+    return leaf(x) if x.size <= _SUM_LEAF else _pairwise(x[:half], leaf) + _pairwise(x[half:], leaf)
+
+
+def _d2_moments(x: np.ndarray, mean: float) -> tuple[float, float, bool]:
+    """d2.sum() and np.einsum("i,i->", d2, d2) for d2 = (x - mean)^2, bit for bit, and np.all(x == x[0]).
+
+    The last figure holds for finite x.  d2 is held one leaf of _pairwise
+    at a time, in one buffer, never whole.  np.einsum's reduction adds one
+    partial sum per block of _EINSUM_BLOCK elements, aligned at 0.  The
+    leaves come in order, and the block that straddles a leaf's end moves to
+    the front of the buffer to be finished by the next leaf, so a running
+    sum over those blocks gives the same double.  The x == x[0] test reads
+    each leaf until one differs.
+    """
+    buf = np.empty(min(x.size, _SUM_LEAF) + _EINSUM_BLOCK)
+    m4, carry, same = 0.0, 0, True
+
+    def leaf(xs: np.ndarray) -> float:
+        nonlocal m4, carry, same
+        same = same and xs.min() == x[0] == xs.max()
+        d2 = np.subtract(xs, mean, out=buf[carry : carry + xs.size])
+        d2 *= d2
+        total = float(np.add.reduce(d2))
+        end = carry + xs.size
+        carry = end % _EINSUM_BLOCK
+        for start in range(0, end - carry, _EINSUM_BLOCK):
+            block = buf[start : start + _EINSUM_BLOCK]
+            m4 += float(np.einsum("i,i->", block, block))  # no BLAS: the bits do not depend on its thread count
+        buf[:carry] = buf[end - carry : end]
+        return total
+
+    total = _pairwise(x, leaf)
+    m4 += float(np.einsum("i,i->", buf[:carry], buf[:carry]))  # the last, short block
+    return total, m4, same
+
+
 def estimate_variance(samples: np.ndarray) -> VarianceEstimate:
     """Unbiased variance with standard error from the 4th central moment.
 
     se^2 = (m4 - s^4 (n-3)/(n-1)) / n; the normal-theory value
-    sqrt(2 s^4 / n) is reported alongside for comparison.
+    sqrt(2 s^4 / n) is reported alongside for comparison.  The moments are
+    those of np.var(x, ddof=1) and of the one-shot (x - mean)^2 sums, bit
+    for bit, taken block by block (_d2_moments) in memory that does not
+    grow with the sample count.
     """
     x = _real_vector(samples)
     n = x.size
@@ -330,21 +391,19 @@ def estimate_variance(samples: np.ndarray) -> VarianceEstimate:
     # overflows, makes m4 non-finite; the check reads the sums, not the samples
     with np.errstate(over="ignore", invalid="ignore"):
         mean = float(np.mean(x))
-        d2 = x - mean
-        d2 *= d2
-        var = float(d2.sum() / (n - 1))  # np.var(x, ddof=1) bit for bit
-        m4 = float(np.einsum("i,i->", d2, d2) / n)  # no BLAS: the bits do not depend on its thread count
-    if not math.isfinite(m4):
-        bad = ~np.isfinite(x)
-        # else the sample farthest from the mean, whose fourth power overflows
-        i = int(np.argmax(bad) if bad.any() else np.argmax(d2))
-        raise InvalidParameter(
-            f"sample {i} is {float(x[i])!r}: samples must be finite, and close enough"
-            " to their mean that the fourth central moment is finite"
-        )
-    if np.all(x == x[0]):
+        total, m4, same = _d2_moments(x, mean)
+        if not math.isfinite(m4):
+            bad = ~np.isfinite(x)
+            # else the sample farthest from the mean, whose fourth power overflows
+            i = int(np.argmax(bad) if bad.any() else np.argmax(np.square(x - mean)))
+            raise InvalidParameter(
+                f"sample {i} is {float(x[i])!r}: samples must be finite, and close enough"
+                " to their mean that the fourth central moment is finite"
+            )
+    if same:
         raise DegenerateData("all samples identical; variance estimate is degenerate")
-    se2 = (m4 - var * var * (n - 3.0) / (n - 1.0)) / n
+    var = total / (n - 1)  # np.var(x, ddof=1) bit for bit
+    se2 = (m4 / n - var * var * (n - 3.0) / (n - 1.0)) / n
     return VarianceEstimate(
         n=n,
         mean_hat=mean,

@@ -1,7 +1,9 @@
 """Homodyne sampling chain: marginals, CDF inversion, estimators, KS check."""
 
+import gc
 import math
 import re
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -575,6 +577,129 @@ def test_estimate_variance_keeps_large_finite_moments():
     assert math.isfinite(est.std_error_of_var)
 
 
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize(
+    ("index", "value", "named"),
+    [
+        (8_192, math.inf, "sample 8192 is inf"),
+        (8_193, math.nan, "sample 8193 is nan"),
+        (65_536, -math.inf, "sample 65536 is -inf"),
+        (70_001, math.nan, "sample 70001 is nan"),
+        # 1e80 / 150,000 is the mean's shift, whose fourth power stays finite
+        (8_200, 1e80, "sample 8200 is 1e+80"),
+        (65_537, -1e80, "sample 65537 is -1e+80"),
+        (149_999, 1e80, "sample 149999 is 1e+80"),
+    ],
+)
+def test_estimate_variance_names_a_bad_sample_past_a_block_edge(index, value, named):
+    # the moments are taken per 8,192-sample block and per 65,536-sample leaf;
+    # the message names the sample's index in the whole array
+    x = np.random.default_rng(index).standard_normal(150_000)
+    x[index] = value
+    with pytest.raises(InvalidParameter, match=re.escape(named)):
+        homodyne.estimate_variance(x)
+
+
+@pytest.mark.filterwarnings("error")
+def test_estimate_variance_names_the_sample_farthest_from_the_mean():
+    # the mean is 1.2e77: the 0.0 sample's fourth power overflows, and it is
+    # not the largest sample
+    with pytest.raises(InvalidParameter, match=re.escape("sample 4 is 0.0")):
+        homodyne.estimate_variance(np.array([1.5e77, 1.5e77, 1.5e77, 1.5e77, 0.0]))
+
+
+def _one_shot_moments(x):
+    """(var, m4) as estimate_variance took them on the whole sample array at once."""
+    mean = float(np.mean(x))
+    d2 = x - mean
+    d2 *= d2
+    return float(np.var(x, ddof=1)), float(np.einsum("i,i->", d2, d2) / x.size)
+
+
+def _assert_one_shot_bits(x):
+    n = x.size
+    est = homodyne.estimate_variance(x)
+    var, m4 = _one_shot_moments(x)
+    assert (est.mean_hat, est.var_hat) == (float(np.mean(x)), var)
+    assert est.std_error_of_var == math.sqrt(max(0.0, (m4 - var * var * (n - 3.0) / (n - 1.0)) / n))
+
+
+# each side of the pairwise sum's 8-wide and 128-element steps, of np.einsum's
+# 8,192-element buffer, of a 65,536-sample leaf and of the first tree split
+MOMENT_SIZES = [2, 3, 7, 8, 9, 127, 128, 129, 8_191, 8_192, 8_193, 65_535, 65_536, 65_537, 131_071, 131_072, 131_073]
+
+
+@pytest.mark.parametrize("n", MOMENT_SIZES + [1_000_000])
+def test_blockwise_moments_equal_the_one_shot_sums_bit_for_bit(n):
+    _assert_one_shot_bits(3.0 + np.random.default_rng(n).standard_t(5, size=n))
+
+
+@pytest.mark.parametrize("bufsize", [4096, 65536])
+def test_blockwise_moments_keep_their_bits_under_another_buffer_size(bufsize):
+    # np.einsum's 8,192-element blocks do not follow np.setbufsize
+    x = 3.0 + np.random.default_rng(bufsize).standard_t(5, size=300_001)
+    old = np.setbufsize(bufsize)
+    try:
+        _assert_one_shot_bits(x)
+    finally:
+        np.setbufsize(old)
+
+
+def test_blockwise_moments_keep_the_bits_of_strided_samples():
+    # a strided view is read in place; its (x - mean)^2 is contiguous either way
+    x = 3.0 + np.random.default_rng(9).standard_t(5, size=2 * 131_073)
+    _assert_one_shot_bits(x[::2])
+    assert homodyne.estimate_variance(x[::2]) == homodyne.estimate_variance(x[::2].copy())
+
+
+@settings(max_examples=40, deadline=None, database=None, derandomize=True)
+@given(
+    n=st.integers(2, 300_000),
+    seed=st.integers(0, 2**32 - 1),
+    kind=st.sampled_from(["normal", "heavy", "ties", "offset"]),
+)
+def test_blockwise_moments_equal_the_one_shot_sums_for_any_size(n, seed, kind):
+    rng = np.random.default_rng(seed)
+    x = {
+        "normal": lambda: rng.standard_normal(n),
+        "heavy": lambda: rng.standard_t(2, size=n) * 1e30,
+        "ties": lambda: rng.integers(-2, 3, size=n) * 0.1,
+        "offset": lambda: 1e8 + rng.standard_normal(n) * 1e-4,
+    }[kind]()
+    assume(np.ptp(x) > 0.0)
+    _assert_one_shot_bits(x)
+
+
+def test_degenerate_data_is_found_in_any_leaf():
+    x = np.full(150_000, 0.7)
+    with pytest.raises(DegenerateData):
+        homodyne.estimate_variance(x)
+    for i in (0, 65_535, 65_536, 149_999):  # one differing sample, in the first or a later leaf
+        y = x.copy()
+        y[i] = 0.8
+        _assert_one_shot_bits(y)
+
+
+def test_estimate_variance_keeps_no_reference_to_its_samples():
+    # a reference cycle through the samples (a recursive closure over them,
+    # say) would keep each caller's array alive until the cyclic collector ran
+    x = np.random.default_rng(13).standard_normal(200_000)
+    ref = weakref.ref(x)
+    gc.disable()
+    try:
+        homodyne.estimate_variance(x)
+        del x
+        assert ref() is None
+    finally:
+        gc.enable()
+
+
+def test_estimate_variance_holds_no_sample_sized_temporary():
+    # (x - mean)^2 of 10^6 samples alone is 8 MB
+    x = 0.5 * np.random.default_rng(12).standard_normal(1_000_000)
+    assert traced_peak(lambda: homodyne.estimate_variance(x)) < 2**20
+
+
 # ------------------------------------------------------------------- sampling
 
 def test_sampling_is_reproducible_per_seed():
@@ -596,6 +721,37 @@ def test_draw_equals_np_interp_bit_for_bit(n):
         got = homodyne._draw(xs, cdf, n, np.random.Generator(np.random.Philox(k)))
         want = np.interp(np.random.Generator(np.random.Philox(k)).random(n), cdf, xs)
         assert np.array_equal(_bits(got), _bits(want))
+
+
+def _n100_cdf_with_flat_runs():
+    """An n_max = 100 CDF, with flat runs and a subnormal step added by hand."""
+    xs, cdf = homodyne.tabulated_cdf(_lossy_squeezed_vacuum(100), 0.4)
+    cdf = cdf.copy()
+    cdf[:40] = 0.0
+    cdf[40] = 5e-324
+    cdf[30000:30020] = cdf[30000]
+    cdf[40000:40200] = cdf[40000]
+    return xs, cdf
+
+
+CHUNK = homodyne._DRAW_CHUNK
+
+
+@pytest.mark.parametrize("n", [2 * CHUNK, 2 * CHUNK + 1, 3 * CHUNK - 1, 3 * CHUNK, 3 * CHUNK + 1, 1_000_000])
+def test_draw_equals_np_interp_at_chunk_edges(n):
+    # a last chunk that is whole, one draw long, or short by one, on the table path
+    assert homodyne._INTERP_MAX_DRAWS <= 2 * CHUNK
+    for k, (xs, cdf) in enumerate([homodyne.tabulated_cdf(ONE_THIRD, 0.3), _n100_cdf_with_flat_runs()]):
+        got = homodyne._draw(xs, cdf, n, np.random.Generator(np.random.Philox(k)))
+        want = np.interp(np.random.Generator(np.random.Philox(k)).random(n), cdf, xs)
+        assert np.array_equal(_bits(got), _bits(want))
+
+
+def test_sample_quadratures_holds_no_sample_sized_temporary():
+    # the 10^6 samples returned are 7.6 MiB; the grid, the CDF, the guide and
+    # slope tables and the chunk buffers take the rest
+    run = HomodyneRun(state=ONE_THIRD, phi_lo=0.3, eta_total=0.8, n_samples=1_000_000, seed=3)
+    assert traced_peak(lambda: homodyne.sample_quadratures(run)) < 10.5 * 2**20
 
 
 def test_draw_equals_np_interp_on_edge_uniforms():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from atomsqueeze import fock, jaynes_cummings as jc, superposition
 from atomsqueeze.closed_forms import _linspace, _transient_rows
@@ -214,6 +215,23 @@ def test_field_variances_match_closed_forms_on_grid():
                 c1, c2 = jc.closed_form_variances(prep, float(lt))
                 assert abs(v1 - c1) < 1e-12
                 assert abs(v2 - c2) < 1e-12
+
+
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    theta=st.floats(0.0, math.tau, exclude_max=True),
+    phi=st.floats(0.0, math.tau, exclude_max=True),
+    coupling=st.floats(1e-3, 1e3),
+    t=st.just(0.0) | st.floats(1e-6, 1e6),
+)
+def test_field_variances_match_closed_forms_for_any_preparation(theta, phi, coupling, t):
+    # the reduced density matrix of the closed-form joint state, read through
+    # quadrature_stats, within the grid test's bound above
+    prep = AtomPrep(theta, phi)
+    v1, v2 = jc.field_variances(prep, JCParams(omega0=1.7, omega=1.7, coupling=coupling), t)
+    c1, c2 = jc.closed_form_variances(prep, coupling * t)
+    assert abs(v1 - c1) < 1e-12
+    assert abs(v2 - c2) < 1e-12
 
 
 def test_variance_sum_is_phase_independent():

@@ -2,6 +2,7 @@
 
 import itertools
 import math
+import sys
 from collections import Counter
 
 import numpy as np
@@ -210,6 +211,26 @@ def test_linewidth_check_values():
     assert not ok
     with pytest.raises(InvalidParameter):
         modes.linewidth_check(em, claimed_hz=-1.0)
+
+
+def test_linewidth_check_accepts_a_deviation_equal_to_its_tolerance():
+    # a claim of twice the linewidth deviates by exactly the linewidth, which
+    # is exactly rel_tol * claim at rel_tol = 1/2, and by more below it
+    em = EmitterParams.from_lifetime(TAU)
+    computed = em.linewidth_hz
+    assert modes.linewidth_check(em, claimed_hz=2.0 * computed, rel_tol=0.5) == (computed, True)
+    assert modes.linewidth_check(em, claimed_hz=2.0 * computed, rel_tol=math.nextafter(0.5, 0.0)) == (computed, False)
+
+
+def test_decay_integral_takes_the_closed_form_at_the_smallest_normal_exponent():
+    # rate * window rounds to exactly sys.float_info.min here; the closed form
+    # gives min / rate, the correctly rounded integral, one subnormal step
+    # below the window that the branch for smaller exponents returns
+    rate, window = 0.75, math.ldexp(6004799503160662, -1074)
+    assert rate * window == sys.float_info.min
+    assert modes._decay_integral(rate, window) == sys.float_info.min / rate == math.nextafter(window, 0.0)
+    below = math.nextafter(window, 0.0) / 2.0
+    assert rate * below < sys.float_info.min and modes._decay_integral(rate, below) == below
 
 
 @pytest.mark.parametrize("bad", [math.inf, math.nan])

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from atomsqueeze import fock, superposition
 from atomsqueeze.errors import InvalidParameter
@@ -67,6 +68,20 @@ def test_closed_forms_match_numerics_on_grid():
                 assert abs(closed - _numeric_variance(spec, phi_lo)) < 1e-12
 
 
+@settings(max_examples=150, deadline=None, database=None, derandomize=True)
+@given(
+    beta=st.floats(0.0, 1.0),
+    rel_phase=st.floats(-1e6, 1e6),
+    phi_lo=st.floats(-1e6, 1e6),
+)
+def test_closed_form_variance_equals_quadrature_stats_for_any_spec(beta, rel_phase, phi_lo):
+    # the closed form takes cos(rel - lo) and the Fock path rotates by e^{i rel}
+    # and e^{-i lo} apart, so their gap grows with the phases' own round-off
+    spec = SuperpositionSpec(beta, rel_phase)
+    gap = abs(superposition.variance_at_lo_phase(spec, phi_lo) - _numeric_variance(spec, phi_lo))
+    assert gap <= 1e-12 + 2.0**-52 * (abs(rel_phase) + abs(phi_lo))
+
+
 def test_variance_sum_rule_on_grid():
     # V1 + V2 is phase-independent: 1/2 + |beta|^4
     for beta in np.linspace(0.0, 1.0, 40):
@@ -103,6 +118,19 @@ def test_squeezing_region_boundaries():
     assert superposition.squeezing_region(SuperpositionSpec(0.5, 0.0))
     assert not superposition.squeezing_region(SuperpositionSpec(1.0 / math.sqrt(2.0), 0.0))
     assert not superposition.squeezing_region(SuperpositionSpec(0.9, 0.0))
+
+
+def test_squeezing_region_is_strict_at_its_guard_double():
+    # betas from 1.4142077330234668e-06 to the next below have a minimum
+    # variance of exactly 1/4 - 1e-12: the guard's own double is not a dip,
+    # and the next double down, at the next beta, is
+    guard = 0.25 - 1e-12
+    for beta in (1.4142077330234668e-06, 1.4142273591239154e-06):
+        assert superposition.min_variance(SuperpositionSpec(beta, 0.0)) == guard
+        assert not superposition.squeezing_region(SuperpositionSpec(beta, 0.0))
+    dip = SuperpositionSpec(math.nextafter(1.4142273591239154e-06, 1.0), 0.0)
+    assert superposition.min_variance(dip) == math.nextafter(guard, 0.0)
+    assert superposition.squeezing_region(dip)
 
 
 def test_optimal_beta_values():
