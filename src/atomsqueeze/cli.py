@@ -464,7 +464,7 @@ def _run_budget(params: dict, explicit: set) -> CommandOutput:
         require_finite("1 / (2 x lo-rate-factor x gamma/2)", 1.0 / (2.0 * rate))
     else:
         require_in("window-lifetimes x lifetime", window * emitter.lifetime_tau, 0, open_lo=True)
-    lo = modes.exponential_mode(rate, window * emitter.lifetime_tau)
+    lo = modes.TemporalMode(rate=rate, window=window * emitter.lifetime_tau)
     budget = modes.detected_squeezing(
         spec,
         params["collection"],

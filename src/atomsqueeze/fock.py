@@ -19,25 +19,23 @@ Its mean and variance come from three diagonals of rho, in O(n):
     mean = Re(e^{-i phi} <a>),  V = [1 + 2 <a^dag a> + 2 Re(e^{-2i phi} <a^2>)] / 4 - mean^2
 
 with <a^dag a> = sum_n n rho_{nn}.  No padded level is needed, since
-a a^dag = a^dag a + 1 holds exactly in this form; quadrature_operator keeps
-the trace Tr(rho X_phi^k) as the test oracle.  Squeezing is always quoted
+a a^dag = a^dag a + 1 holds exactly in this form; the tests keep the trace
+Tr(rho X_phi^k) as its oracle (tests/oracles.py).  Squeezing is always quoted
 against the vacuum floor: dB = 10 log10(V / 0.25), negative below it
 (variance_to_db, re-exported from the numpy-free closed_forms).
 
 Linear loss at transmission eta (a beamsplitter that keeps each photon with
 probability eta) is applied in band form, moving weight only down the
 diagonals of rho (see apply_loss; Leonhardt, Measuring the Quantum State of
-Light, 1997); loss_kraus_operators keeps the Kraus sum as the test oracle.
+Light, 1997); the tests keep the Kraus sum as its oracle.
 """
 
 __all__ = [
     "FockDensity",
     "FockVector",
     "QuadratureStats",
-    "annihilation_matrix",
     "apply_loss",
     "make_fock_vector",
-    "quadrature_operator",
     "quadrature_stats",
     "rotate_phase",
     "to_density",
@@ -50,7 +48,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .closed_forms import VACUUM_VARIANCE, variance_to_db
-from .errors import InvalidParameter, InvalidState, require_finite, require_in, require_int, require_within
+from .errors import InvalidParameter, InvalidState, require_finite, require_in, require_within
 
 
 @dataclass(frozen=True)
@@ -161,20 +159,6 @@ def to_density(state: FockVector) -> FockDensity:
     return FockDensity(np.outer(state.amplitudes, state.amplitudes.conj()))
 
 
-def annihilation_matrix(n_max: int) -> np.ndarray:
-    """Matrix of a on the truncated space, a[m, n] = sqrt(n) delta_{m, n-1}; the test oracle."""
-    require_int("n_max", n_max, 1)
-    n = np.arange(1, n_max + 1)
-    return np.diag(np.sqrt(n.astype(float)), k=1).astype(complex)
-
-
-def quadrature_operator(n_max: int, phi_lo: float) -> np.ndarray:
-    """X_phi = (a e^{-i phi} + a^dag e^{i phi}) / 2; the test oracle of quadrature_stats."""
-    require_finite("LO phase", phi_lo)  # as quadrature_stats, so the oracle and its kernel agree
-    a = annihilation_matrix(n_max)
-    return (a * np.exp(-1j * phi_lo) + a.conj().T * np.exp(1j * phi_lo)) / 2.0
-
-
 def _rotated(rho: np.ndarray, phi: float) -> np.ndarray:
     """e^{-i phi n} rho e^{+i phi n} as a bare matrix, for kernels that only read it."""
     require_finite("rotation phase", phi)
@@ -220,17 +204,6 @@ def _loss_weights(n_max: int, eta: float) -> list[np.ndarray]:
     kept = [eta**j for j in range(dim)]
     lost = [(1.0 - eta) ** k for k in range(dim)]
     return [np.sqrt([math.comb(n, k) * kept[n - k] * lost[k] for n in range(k, dim)]) for k in range(dim)]
-
-
-def loss_kraus_operators(n_max: int, eta: float) -> list[np.ndarray]:
-    """Kraus operators of the transmission-eta beamsplitter loss channel.
-
-    K_k = sum_{n >= k} sqrt(C(n, k) eta^{n-k} (1-eta)^k) |n-k><n|,
-    k = 0 .. n_max photons lost.  apply_loss does not build them: the tests
-    keep sum_k K_k rho K_k^dag as the oracle for its band sum.
-    """
-    require_int("n_max", n_max, 1)
-    return [np.diag(s, k).astype(complex) for k, s in enumerate(_loss_weights(n_max, eta))]
 
 
 def apply_loss(state: FockDensity, eta: float) -> FockDensity:

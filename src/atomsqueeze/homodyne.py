@@ -64,10 +64,14 @@ __all__ = [
     "GENERATOR_ID",
     "HomodyneRun",
     "VarianceEstimate",
+    "detected_state",
     "estimate_variance",
+    "hermite_functions",
+    "ks_statistic",
     "marginal_density",
     "phase_scan",
     "sample_quadratures",
+    "tabulated_cdf",
 ]
 
 import math
@@ -395,7 +399,7 @@ def estimate_variance(samples: np.ndarray) -> VarianceEstimate:
         if not math.isfinite(m4):
             bad = ~np.isfinite(x)
             # else the sample farthest from the mean, whose fourth power overflows
-            i = int(np.argmax(bad) if bad.any() else np.argmax(np.square(x - mean)))
+            i = int(np.argmax(bad) if bad.any() else np.argmax(np.abs(x - mean)))
             raise InvalidParameter(
                 f"sample {i} is {float(x[i])!r}: samples must be finite, and close enough"
                 " to their mean that the fourth central moment is finite"

@@ -29,13 +29,12 @@ __all__ = [
     "DipoleCheck",
     "JCParams",
     "JointAtomFieldState",
+    "closed_form_variance_at",
     "closed_form_variances",
     "dipole_squeezing_check",
     "evolve_resonant",
-    "field_variances",
+    "field_superposition_at_quarter_period",
     "min_field_variance",
-    "numeric_evolve",
-    "reduced_field_density",
     "transient_sweep",
 ]
 
@@ -46,11 +45,8 @@ import numpy as np
 
 from . import fock
 from .closed_forms import AtomPrep, JCParams, SuperpositionSpec, _require_resonant, _resonant_variances, _transient_rows
-from .errors import InvalidParameter, InvalidState, _shown, require_finite, require_in, require_int, require_within
+from .errors import InvalidParameter, InvalidState, _shown, require_finite, require_within
 
-NUMERIC_N_MAX = 4  # field truncation for the integrator; exact support is n <= 1
-MAX_STABLE_DT = 0.01  # in units of 1/coupling
-MAX_RK4_STEPS = 1_000_000  # round-off ~1e-16 per step stays 10x inside the 1e-9 norm check
 PREDICTION_GUARD = 1e-15  # a predicted dip below round-off is not a prediction
 
 
@@ -100,52 +96,6 @@ def evolve_resonant(prep: AtomPrep, params: JCParams, t: float) -> JointAtomFiel
     return _rotating_joint(prep, params.coupling * t, np.exp(-1j * params.omega * t))
 
 
-def jc_hamiltonian(params: JCParams, n_max: int) -> np.ndarray:
-    """Joint Hamiltonian matrix, basis ordered [e;n] then [g;n], n = 0 .. n_max."""
-    require_int("n_max", n_max, 1)
-    dim = n_max + 1
-    h = np.zeros((2 * dim, 2 * dim), dtype=complex)
-    n = np.arange(dim)
-    h[:dim, :dim] = np.diag(params.omega * n + params.omega0 / 2.0)
-    h[dim:, dim:] = np.diag(params.omega * n - params.omega0 / 2.0)
-    k = n[:-1]  # coupling block: |g,n+1> <-> |e,n>
-    h[dim + k + 1, k] = h[k, dim + k + 1] = params.coupling * np.sqrt(k + 1.0)
-    return h
-
-
-def numeric_evolve(prep: AtomPrep, params: JCParams, t: float, dt: float) -> JointAtomFieldState:
-    """Fixed-step RK4 integration of the joint Schroedinger equation.
-
-    Truncates the field at n_max = 4 (the exact solution never leaves
-    n <= 1, so the headroom only has to hold round-off).  The result is
-    gauged by e^{-i omega t / 2} to place the energy origin at |g,0>,
-    matching evolve_resonant.
-    """
-    _require_resonant(params, t)
-    require_in("dt", dt, 0, MAX_STABLE_DT / params.coupling, open_lo=True)
-    require_in("the number of RK4 steps t / dt", t / dt, 0, MAX_RK4_STEPS)  # an overflowed inf fails it
-    n_steps = max(1, math.ceil(t / dt))
-    dim = NUMERIC_N_MAX + 1
-    psi = np.zeros(2 * dim, dtype=complex)
-    psi[0] = math.cos(prep.theta / 2.0)
-    psi[dim] = math.sin(prep.theta / 2.0) * np.exp(1j * prep.phi)
-    # one RK4 step of psi' = -iH psi is psi -> T psi, T = I + a + a^2/2 + a^3/6 + a^4/24, a = -iH t / n_steps
-    a = (-1j * (t / n_steps)) * jc_hamiltonian(params, NUMERIC_N_MAX)
-    eye = np.eye(2 * dim)
-    rk4_step = eye + a @ (eye + (a / 2.0) @ (eye + (a / 3.0) @ (eye + a / 4.0)))
-    for _ in range(n_steps):
-        psi = rk4_step @ psi
-    psi = psi * np.exp(-1j * params.omega * t / 2.0)
-    return JointAtomFieldState(amp_e=psi[:dim], amp_g=psi[dim:])
-
-
-def reduced_field_density(state: JointAtomFieldState) -> fock.FockDensity:
-    """Trace out the atom: rho_f = amp_e amp_e^dag + amp_g amp_g^dag."""
-    rho = np.outer(state.amp_e, state.amp_e.conj()) + np.outer(state.amp_g, state.amp_g.conj())
-    rho = (rho + rho.conj().T) / 2.0
-    return fock.FockDensity(rho)
-
-
 def _rotating_joint(prep: AtomPrep, lam_t: float, frame: complex = 1.0) -> JointAtomFieldState:
     """Closed-form joint state at lam_t = coupling * t; frame = e^{-i omega t} leaves the rotating frame."""
     c = math.cos(prep.theta / 2.0)
@@ -153,15 +103,6 @@ def _rotating_joint(prep: AtomPrep, lam_t: float, frame: complex = 1.0) -> Joint
     amp_e = np.array([c * math.cos(lam_t) * frame, 0.0j])
     amp_g = np.array([s * np.exp(1j * prep.phi), -1j * c * math.sin(lam_t) * frame])
     return JointAtomFieldState(amp_e=amp_e, amp_g=amp_g)
-
-
-def field_variances(prep: AtomPrep, params: JCParams, t: float) -> tuple[float, float]:
-    """(Var X1, Var X2) in the rotating frame via the reduced density matrix (closed-form cross-check)."""
-    _require_resonant(params, t)
-    rho = reduced_field_density(_rotating_joint(prep, params.coupling * t))
-    v1 = fock.quadrature_stats(rho, 0.0).variance
-    v2 = fock.quadrature_stats(rho, math.pi / 2.0).variance
-    return v1, v2
 
 
 def closed_form_variance_at(prep: AtomPrep, lam_t, phi_lo: float):

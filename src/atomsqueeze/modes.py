@@ -141,19 +141,14 @@ class TemporalMode:
         return float(vals) if ts.ndim == 0 else vals
 
 
-def exponential_mode(amplitude_rate: float, window: float = math.inf) -> TemporalMode:
-    """Exponential envelope by amplitude decay rate, truncated iff window is finite."""
-    return TemporalMode(rate=amplitude_rate, window=window)
-
-
 def emitted_mode(gamma: float) -> TemporalMode:
     """Spontaneous-emission envelope for intensity decay rate gamma = 1/tau."""
-    return exponential_mode(gamma / 2.0)
+    return TemporalMode(rate=gamma / 2.0)
 
 
 def lo_mode(gamma: float, window: float) -> TemporalMode:
     """Rate-matched truncated-exponential LO on [0, window]."""
-    return exponential_mode(gamma / 2.0, window)
+    return TemporalMode(rate=gamma / 2.0, window=window)
 
 
 def mode_overlap(mode_a: TemporalMode, mode_b: TemporalMode) -> float:

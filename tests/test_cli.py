@@ -19,6 +19,9 @@ from atomsqueeze import cli, fock, homodyne, jaynes_cummings as jc, modes, super
 from atomsqueeze.closed_forms import SuperpositionSpec, _linspace, _transient_rows
 from atomsqueeze.errors import AtomSqueezeError, DegenerateData, InvalidParameter, InvalidState, NotSupported
 
+# a child interpreter imports the package from this checkout's src/, installed or not
+_SRC = str(Path(cli.__file__).resolve().parents[1])
+CHILD_ENV = dict(os.environ, PYTHONPATH=os.pathsep.join([_SRC, os.environ.get("PYTHONPATH", "")]))
 
 def _strip_timestamp(text: str) -> str:
     return "\n".join(line for line in text.splitlines() if "timestamp" not in line)
@@ -468,7 +471,7 @@ def test_non_finite_wigner_grid_exits_3(monkeypatch, capsys):
 def test_overflowing_wigner_range_exits_2_without_warnings():
     proc = subprocess.run(
         [sys.executable, "-W", "error", "-m", "atomsqueeze.cli", "wigner", "--beta", "0.5", "--range", "1e200"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 2
     assert proc.stdout == ""
@@ -640,26 +643,22 @@ def test_unsupported_regime_exits_2(monkeypatch, capsys):
 def test_module_entry_point_runs():
     proc = subprocess.run(
         [sys.executable, "-m", "atomsqueeze.cli", "variance", "--beta", "0.5"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 0
     assert '"variance_x1": 0.1875' in proc.stdout
 
 
 def test_cli_import_loads_no_scipy():
-    src_dir = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, atomsqueeze.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 
 
 def test_cli_import_loads_no_numpy_random():
-    src_dir = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, atomsqueeze.cli; print('numpy.random' in sys.modules)"
-    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=CHILD_ENV)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "False"
 
@@ -829,7 +828,7 @@ LIBRARY_GUARDS = {
         "n-phases": ("n_phases", lambda v: homodyne.phase_scan(_STATE, 1.0, 100, 0, v)),
         "seed": ("seed", lambda v: homodyne.phase_scan(_STATE, 1.0, 100, v, 4)),
     },
-    "budget": {**_EMITTER, "lo-rate-factor": ("amplitude decay rate", modes.exponential_mode)},
+    "budget": {**_EMITTER, "lo-rate-factor": ("amplitude decay rate", modes.TemporalMode)},
     # the handler builds its grid with _linspace and its rows with window_tradeoff's core
     "window-sweep": {**_EMITTER, "min-lifetimes": _WINDOW, "max-lifetimes": _WINDOW,
                      "steps": ("n", lambda v: _linspace(0.5, 10.0, v))},
@@ -1283,7 +1282,7 @@ def test_a_failing_write_exits_4(fmt, failing_write, monkeypatch, capsys):
 def test_out_to_a_full_device_exits_4(fmt):
     proc = subprocess.run(
         [sys.executable, "-m", "atomsqueeze.cli", "wigner", "--beta", "0.5", "--format", fmt, "--out", "/dev/full"],
-        capture_output=True, text=True,
+        capture_output=True, text=True, env=CHILD_ENV,
     )
     assert proc.returncode == 4
     assert proc.stderr.startswith("error: io:")
@@ -1302,7 +1301,9 @@ def test_homodyne_csv_at_the_sample_cap_streams_in_bounded_memory():
         "status = open('/proc/self/status').read()\n"
         "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1), file=sys.stderr)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", child], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", child], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=CHILD_ENV
+    )
     code, peak_kib = map(int, proc.stderr.split())
     assert code == 0
     assert peak_kib < 100 * 1024
@@ -1321,7 +1322,9 @@ def test_wigner_at_the_resolution_cap_streams_in_bounded_memory(fmt):
         "status = open('/proc/self/status').read()\n"
         "print(code, re.search(r'VmHWM:\\s*(\\d+) kB', status).group(1), file=sys.stderr)\n"
     )
-    proc = subprocess.run([sys.executable, "-c", child], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    proc = subprocess.run(
+        [sys.executable, "-c", child], stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True, env=CHILD_ENV
+    )
     code, peak_kib = map(int, proc.stderr.split())
     assert code == 0
     assert peak_kib < 190 * 1024

@@ -1,11 +1,11 @@
 """The library's non-finite-input and integer contracts.
 
-Every callable in `atomsqueeze.__all__`, and every function of a library
+Every callable in `atomsqueeze.__all__`, every function of a library
 module that is public by name (no leading underscore) though not exported,
-is called once for each of its `float`-annotated parameters set to NaN,
-+inf, -inf, 1e300 and -1e300, each as a Python float and as np.float64,
-with every other parameter valid and a numpy RuntimeWarning raised as an
-error.
+and every test oracle in `oracles` is called once for each of its
+`float`-annotated parameters set to NaN, +inf, -inf, 1e300 and -1e300,
+each as a Python float and as np.float64, with every other parameter valid
+and a numpy RuntimeWarning raised as an error.
 Each call must raise an AtomSqueezeError subclass or return only finite
 numbers, dataclass fields and public properties included.  Each
 `int`-annotated parameter is set in turn to a non-integral float, -1 and
@@ -32,6 +32,7 @@ import pytest
 
 import atomsqueeze
 from atomsqueeze import AtomSqueezeError, fock, homodyne, jaynes_cummings, modes, superposition, wigner
+import oracles
 
 pytestmark = pytest.mark.filterwarnings("error::RuntimeWarning")
 
@@ -47,7 +48,6 @@ _GRID = wigner.wigner_of_state(_STATE, resolution=41)
 # One valid value per parameter name of the callables under test; a name missing
 # here fails its cases with a KeyError.  Sizes stay small and are never varied.
 VALID = {
-    "amplitude_rate": 0.5,
     "beta_abs": 0.5,
     "claimed_hz": _EMITTER.linewidth_hz,
     "commutator_expectation": -0.5,
@@ -110,13 +110,14 @@ VALID = {
 }
 
 
-# the exported names, then each library module's public-by-name functions left out of __all__
+# the exported names, then each public-by-name function left out of an __all__:
+# the test oracles, which have none
 CALLABLES = {name: getattr(atomsqueeze, name) for name in atomsqueeze.__all__}
-for _module in (fock, homodyne, jaynes_cummings, modes, superposition, wigner):
+for _module in (fock, homodyne, jaynes_cummings, modes, superposition, wigner, oracles):
     CALLABLES.update(
         (name, obj) for name, obj in vars(_module).items()
         if inspect.isfunction(obj) and obj.__module__ == _module.__name__
-        and not name.startswith("_") and name not in _module.__all__
+        and not name.startswith("_") and name not in getattr(_module, "__all__", ())
     )
 
 

@@ -25,6 +25,7 @@ from atomsqueeze.errors import (
     require_int,
     require_within,
 )
+import oracles
 
 NON_FINITE = (math.nan, math.inf, -math.inf, np.float64(math.nan), np.float64(-math.inf))
 
@@ -114,7 +115,7 @@ _PREP = jc.AtomPrep(theta=2.0, phi=0.4)
 
 PHASE_TAKERS = {
     "rotate_phase": lambda phi: fock.rotate_phase(_STATE, phi),
-    "quadrature_operator": lambda phi: fock.quadrature_operator(3, phi),
+    "quadrature_operator": lambda phi: oracles.quadrature_operator(3, phi),
     "quadrature_stats": lambda phi: fock.quadrature_stats(_STATE, phi),
     "marginal_density": lambda phi: homodyne.marginal_density(_STATE, phi),
     "HomodyneRun": lambda phi: homodyne.HomodyneRun(_STATE, phi, 1.0, 100, 1),

@@ -9,6 +9,7 @@ from hypothesis import given, settings, strategies as st
 
 from atomsqueeze import fock, superposition
 from atomsqueeze.errors import InvalidParameter, InvalidState
+import oracles
 from helpers import braket_quadrature, ensemble_quadrature, random_fock_vector, random_mixture
 
 SEED = 271828
@@ -168,7 +169,7 @@ def test_quadrature_stats_rejects_non_finite_fields(phi_lo, mean, variance):
 # ------------------------------------------------------------------ operators
 
 def test_annihilation_matrix_values():
-    a = fock.annihilation_matrix(3)
+    a = oracles.annihilation_matrix(3)
     expected = np.zeros((4, 4))
     for n in range(3):
         expected[n, n + 1] = math.sqrt(n + 1.0)
@@ -177,24 +178,24 @@ def test_annihilation_matrix_values():
 
 def test_annihilation_matrix_rejects_small_cutoff():
     with pytest.raises(InvalidParameter):
-        fock.annihilation_matrix(0)
+        oracles.annihilation_matrix(0)
 
 
 def test_number_operator_from_ladder_product():
-    a = fock.annihilation_matrix(6)
+    a = oracles.annihilation_matrix(6)
     n_op = a.conj().T @ a
     assert np.allclose(n_op, np.diag(np.arange(7.0)), atol=1e-13)
 
 
 def test_quadrature_operator_phases():
     n_max = 5
-    a = fock.annihilation_matrix(n_max)
-    x1 = fock.quadrature_operator(n_max, 0.0)
-    x2 = fock.quadrature_operator(n_max, math.pi / 2.0)
+    a = oracles.annihilation_matrix(n_max)
+    x1 = oracles.quadrature_operator(n_max, 0.0)
+    x2 = oracles.quadrature_operator(n_max, math.pi / 2.0)
     assert np.allclose(x1, (a + a.conj().T) / 2.0, atol=1e-15)
     assert np.allclose(x2, 1j * (a.conj().T - a) / 2.0, atol=1e-15)
     # Hermitian at arbitrary phase
-    x = fock.quadrature_operator(n_max, 0.7)
+    x = oracles.quadrature_operator(n_max, 0.7)
     assert np.max(np.abs(x - x.conj().T)) < 1e-15
 
 
@@ -202,7 +203,7 @@ def test_quadrature_operator_phases():
 @pytest.mark.parametrize("phi_lo", [math.nan, math.inf, -math.inf])
 def test_quadrature_operator_rejects_a_non_finite_phase_as_quadrature_stats_does(phi_lo):
     rho = fock.to_density(fock.make_fock_vector([1.0, 1.0]))
-    for oracle in (lambda: fock.quadrature_operator(3, phi_lo), lambda: fock.quadrature_stats(rho, phi_lo)):
+    for oracle in (lambda: oracles.quadrature_operator(3, phi_lo), lambda: fock.quadrature_stats(rho, phi_lo)):
         with pytest.raises(InvalidParameter, match="LO phase must be finite"):
             oracle()
 
@@ -296,7 +297,7 @@ def _dense_trace_stats(rho: np.ndarray, phi: float) -> tuple[float, float]:
     dim = rho.shape[0]
     padded = np.zeros((dim + 1, dim + 1), dtype=complex)
     padded[:dim, :dim] = rho
-    x = fock.quadrature_operator(dim, phi)
+    x = oracles.quadrature_operator(dim, phi)
     mean = np.trace(padded @ x).real
     return mean, np.trace(padded @ x @ x).real - mean * mean
 
@@ -319,8 +320,8 @@ def test_stats_build_no_dense_operator(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("quadrature_stats built a dense operator")
 
-    monkeypatch.setattr(fock, "annihilation_matrix", forbidden)
-    monkeypatch.setattr(fock, "quadrature_operator", forbidden)
+    monkeypatch.setattr(oracles, "annihilation_matrix", forbidden)
+    monkeypatch.setattr(oracles, "quadrature_operator", forbidden)
     got = fock.quadrature_stats(rho, 0.9)
     assert abs(got.mean - mean) <= 1e-13 * max(1.0, abs(mean))
     assert abs(got.variance - var) <= 1e-13 * max(1.0, var)
@@ -364,7 +365,7 @@ def test_variance_to_db_rejects_nonpositive():
 def test_loss_kraus_operators_complete():
     for n_max in (1, 3, 6):
         for eta in (0.0, 0.3, 0.94, 1.0):
-            ops = fock.loss_kraus_operators(n_max, eta)
+            ops = oracles.loss_kraus_operators(n_max, eta)
             total = sum(k.conj().T @ k for k in ops)
             assert np.max(np.abs(total - np.eye(n_max + 1))) < 1e-12
 
@@ -372,7 +373,7 @@ def test_loss_kraus_operators_complete():
 def _kraus_sum(rho, eta):
     """The Kraus form of the loss channel, with apply_loss's Hermitian scrub."""
     out = np.zeros_like(rho)
-    for k in fock.loss_kraus_operators(rho.shape[0] - 1, eta):
+    for k in oracles.loss_kraus_operators(rho.shape[0] - 1, eta):
         out = out + k @ rho @ k.conj().T
     return (out + out.conj().T) / 2.0
 
@@ -385,6 +386,21 @@ def test_apply_loss_equals_kraus_sum_bit_for_bit(n_max):
         out = fock.apply_loss(rho, eta).matrix
         ref = _kraus_sum(rho.matrix, eta)
         assert np.array_equal(out.view(np.int64), ref.view(np.int64)), eta
+
+
+@settings(max_examples=200, deadline=None, database=None, derandomize=True)
+@given(
+    n_max=st.integers(1, 12),
+    n_pure=st.integers(1, 4),
+    seed=st.integers(0, 2**32 - 1),
+    eta=st.floats(0.0, 1.0),
+)
+def test_apply_loss_equals_kraus_sum_bit_for_bit_on_any_mixed_state(n_max, n_pure, seed, eta):
+    # the band sum against the Kraus oracle, as the grid test above, on random mixtures up to n_max = 12
+    rho, _, _ = random_mixture(np.random.default_rng(seed), n_max, n_pure)
+    out = fock.apply_loss(rho, eta).matrix
+    ref = _kraus_sum(rho.matrix, eta)
+    assert np.array_equal(out.view(np.int64), ref.view(np.int64))
 
 
 def _real_states():
@@ -427,7 +443,7 @@ def test_apply_loss_builds_no_kraus_operators(monkeypatch):
     def refuse(n_max, eta):
         raise AssertionError("apply_loss built the Kraus operators")
 
-    monkeypatch.setattr(fock, "loss_kraus_operators", refuse)
+    monkeypatch.setattr(oracles, "loss_kraus_operators", refuse)
     tracemalloc.start()
     try:
         out = fock.apply_loss(rho, 0.7)

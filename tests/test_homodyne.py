@@ -589,6 +589,9 @@ def test_estimate_variance_keeps_large_finite_moments():
         (8_200, 1e80, "sample 8200 is 1e+80"),
         (65_537, -1e80, "sample 65537 is -1e+80"),
         (149_999, 1e80, "sample 149999 is 1e+80"),
+        # the mean shifts by -1e200 / 150,000, so every (x - mean)^2 is inf: the
+        # distances, not the squares, tell the outlier from the ordinary samples
+        (65_537, -1e200, "sample 65537 is -1e+200"),
     ],
 )
 def test_estimate_variance_names_a_bad_sample_past_a_block_edge(index, value, named):

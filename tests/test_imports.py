@@ -18,8 +18,14 @@ from pathlib import Path
 import pytest
 
 import atomsqueeze
+import oracles
 
 SRC = Path(atomsqueeze.__file__).resolve().parent
+# each function and constant that tests/oracles.py defines
+ORACLE_NAMES = sorted(
+    name for name, obj in vars(oracles).items()
+    if not name.startswith("_") and (getattr(obj, "__module__", None) == oracles.__name__ or name.isupper())
+)
 
 # the modules that load numpy when imported, directly or through another module
 LOADS_NUMPY = {"fock", "homodyne", "jaynes_cummings", "superposition", "wigner"}
@@ -147,7 +153,7 @@ def test_star_import_binds_every_public_name():
         "missing = [n for n in atomsqueeze.__all__ if globals().get(n) is not getattr(atomsqueeze, n)]\n"
         "print(len(atomsqueeze.__all__), missing)"
     )
-    assert _child("-c", code).stdout.split() == ["60", "[]"]
+    assert _child("-c", code).stdout.split() == ["61", "[]"]
 
 
 def test_a_public_name_loads_the_seven_library_modules():
@@ -231,3 +237,27 @@ def test_arrays_are_admitted_and_frozen_in_one_place_each():
         calls = _callers(tree, {"asarray", "setflags", "__setattr__"})
         found |= {(name, f"{path.stem}{scope}") for name, scope in calls}
     assert found == {("asarray", "fock._numbers"), ("setflags", "fock._freeze"), ("__setattr__", "fock._freeze")}
+
+
+def _defined(tree: ast.Module) -> set:
+    """Every name a module binds by def, class or assignment, at any depth."""
+    return {
+        node.name if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)) else node.id
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        or (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store))
+    }
+
+
+@pytest.mark.parametrize("name", ORACLE_NAMES)
+def test_no_test_oracle_is_defined_in_the_package(name):
+    # one runtime implementation per quantity: the numerical cross-checks live in the tests
+    for path in SRC.glob("*.py"):
+        assert name not in _defined(ast.parse(path.read_text(encoding="utf-8"))), path.name
+
+
+def test_the_package_imports_nothing_from_the_tests():
+    tests = {path.stem for path in Path(oracles.__file__).parent.glob("*.py")}
+    for path in SRC.glob("*.py"):
+        found = _imports(ast.parse(path.read_text(encoding="utf-8")))
+        assert not set().union(*(_targets(node, set()) for _, node in found)) & tests, path.name

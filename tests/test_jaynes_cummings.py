@@ -10,6 +10,7 @@ from atomsqueeze import fock, jaynes_cummings as jc, superposition
 from atomsqueeze.closed_forms import _linspace, _transient_rows
 from atomsqueeze.errors import InvalidParameter, InvalidState, NotSupported
 from atomsqueeze.jaynes_cummings import AtomPrep, JCParams, JointAtomFieldState
+import oracles
 
 RESONANT = JCParams(omega0=1.7, omega=1.7, coupling=0.9)
 ZERO_FREQ = JCParams(omega0=0.0, omega=0.0, coupling=1.0)
@@ -57,9 +58,9 @@ def test_non_finite_times_rejected():
         with pytest.raises(InvalidParameter, match="time must be finite"):
             jc.evolve_resonant(prep, RESONANT, t)
         with pytest.raises(InvalidParameter, match="time must be finite"):
-            jc.numeric_evolve(prep, RESONANT, t, 0.005)
+            oracles.numeric_evolve(prep, RESONANT, t, 0.005)
         with pytest.raises(InvalidParameter, match="time must be finite"):
-            jc.field_variances(prep, RESONANT, t)
+            oracles.field_variances(prep, RESONANT, t)
 
 
 def test_off_resonance_not_supported():
@@ -68,9 +69,9 @@ def test_off_resonance_not_supported():
     with pytest.raises(NotSupported):
         jc.evolve_resonant(prep, detuned, 1.0)
     with pytest.raises(NotSupported):
-        jc.numeric_evolve(prep, detuned, 1.0, 0.01)
+        oracles.numeric_evolve(prep, detuned, 1.0, 0.01)
     with pytest.raises(NotSupported):
-        jc.field_variances(prep, detuned, 1.0)
+        oracles.field_variances(prep, detuned, 1.0)
 
 
 # ------------------------------------------------------------------- dynamics
@@ -106,7 +107,7 @@ def test_excitation_exchange_period():
 
 
 def test_jc_hamiltonian_structure():
-    h = jc.jc_hamiltonian(RESONANT, 1)
+    h = oracles.jc_hamiltonian(RESONANT, 1)
     assert np.max(np.abs(h - h.conj().T)) == 0.0
     w0, w, g = RESONANT.omega0, RESONANT.omega, RESONANT.coupling
     expected = np.array(
@@ -120,13 +121,13 @@ def test_jc_hamiltonian_structure():
     )
     assert np.max(np.abs(h - expected)) < 1e-15
     with pytest.raises(InvalidParameter):
-        jc.jc_hamiltonian(RESONANT, 0)
+        oracles.jc_hamiltonian(RESONANT, 0)
 
 
 def test_numeric_matches_closed_form():
     prep = AtomPrep(theta=2.0 * math.pi / 3.0, phi=0.4)
     t = 7.0
-    numeric = jc.numeric_evolve(prep, RESONANT, t, dt=0.005)
+    numeric = oracles.numeric_evolve(prep, RESONANT, t, dt=0.005)
     exact = jc.evolve_resonant(prep, RESONANT, t)
     assert np.max(np.abs(numeric.amp_e[:2] - exact.amp_e)) < 1e-8
     assert np.max(np.abs(numeric.amp_g[:2] - exact.amp_g)) < 1e-8
@@ -135,9 +136,26 @@ def test_numeric_matches_closed_form():
     assert np.max(np.abs(numeric.amp_g[2:])) < 1e-10
 
 
+@settings(max_examples=100, deadline=None, database=None, derandomize=True)
+@given(
+    theta=st.floats(0.0, math.tau, exclude_max=True),
+    phi=st.floats(0.0, math.tau, exclude_max=True),
+    t=st.floats(0.0, math.tau),
+)
+def test_numeric_matches_closed_form_for_any_preparation(theta, phi, t):
+    # the RK4 oracle at dt = 0.005 against the closed form, within the grid test's bounds above
+    prep = AtomPrep(theta, phi)
+    numeric = oracles.numeric_evolve(prep, RESONANT, t, dt=0.005)
+    exact = jc.evolve_resonant(prep, RESONANT, t)
+    assert np.max(np.abs(numeric.amp_e[:2] - exact.amp_e)) < 1e-8
+    assert np.max(np.abs(numeric.amp_g[:2] - exact.amp_g)) < 1e-8
+    assert np.max(np.abs(numeric.amp_e[2:])) < 1e-10
+    assert np.max(np.abs(numeric.amp_g[2:])) < 1e-10
+
+
 def test_numeric_norm_drift_stays_tiny():
     prep = AtomPrep(theta=1.9, phi=5.1)
-    state = jc.numeric_evolve(prep, ZERO_FREQ, 10.0, dt=0.01)
+    state = oracles.numeric_evolve(prep, ZERO_FREQ, 10.0, dt=0.01)
     norm = math.sqrt(float(np.sum(np.abs(state.amp_e) ** 2) + np.sum(np.abs(state.amp_g) ** 2)))
     assert abs(norm - 1.0) < 1e-9
 
@@ -146,8 +164,8 @@ def test_numeric_step_matrix_is_the_four_stage_rk4_step():
     # the stage loop the step matrix replaces, kept as the oracle
     prep = AtomPrep(theta=1.9, phi=5.1)
     t, dt = 0.5, 0.01
-    dim = jc.NUMERIC_N_MAX + 1
-    h = jc.jc_hamiltonian(RESONANT, jc.NUMERIC_N_MAX)
+    dim = oracles.NUMERIC_N_MAX + 1
+    h = oracles.jc_hamiltonian(RESONANT, oracles.NUMERIC_N_MAX)
     psi = np.zeros(2 * dim, dtype=complex)
     psi[0] = math.cos(prep.theta / 2.0)
     psi[dim] = math.sin(prep.theta / 2.0) * np.exp(1j * prep.phi)
@@ -160,13 +178,13 @@ def test_numeric_step_matrix_is_the_four_stage_rk4_step():
         k4 = -1j * (h @ (psi + step * k3))
         psi = psi + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
     psi = psi * np.exp(-1j * RESONANT.omega * t / 2.0)
-    state = jc.numeric_evolve(prep, RESONANT, t, dt)
+    state = oracles.numeric_evolve(prep, RESONANT, t, dt)
     assert np.max(np.abs(np.concatenate([state.amp_e, state.amp_g]) - psi)) < 1e-14
 
 
 def test_numeric_evolve_at_t_zero_is_the_initial_state_exactly():
     prep = AtomPrep(theta=1.9, phi=5.1)
-    state = jc.numeric_evolve(prep, RESONANT, 0.0, 0.01)
+    state = oracles.numeric_evolve(prep, RESONANT, 0.0, 0.01)
     exact = jc.evolve_resonant(prep, RESONANT, 0.0)
     assert np.array_equal(state.amp_e[:2], exact.amp_e)
     assert np.array_equal(state.amp_g[:2], exact.amp_g)
@@ -179,24 +197,24 @@ def test_numeric_evolve_caps_its_step_count_before_any_step(t, dt, monkeypatch):
     def forbidden(*args):
         raise AssertionError("the step matrix was built for a rejected step count")
 
-    monkeypatch.setattr(jc, "jc_hamiltonian", forbidden)
+    monkeypatch.setattr(oracles, "jc_hamiltonian", forbidden)
     with pytest.raises(InvalidParameter, match="RK4 steps"):
-        jc.numeric_evolve(AtomPrep(theta=1.0, phi=0.0), ZERO_FREQ, t, dt)
+        oracles.numeric_evolve(AtomPrep(theta=1.0, phi=0.0), ZERO_FREQ, t, dt)
 
 
 def test_numeric_step_validation():
     prep = AtomPrep(theta=1.0, phi=0.0)
     with pytest.raises(InvalidParameter):
-        jc.numeric_evolve(prep, RESONANT, 1.0, dt=0.0)
+        oracles.numeric_evolve(prep, RESONANT, 1.0, dt=0.0)
     with pytest.raises(InvalidParameter):
-        jc.numeric_evolve(prep, RESONANT, 1.0, dt=0.02 / RESONANT.coupling)
+        oracles.numeric_evolve(prep, RESONANT, 1.0, dt=0.02 / RESONANT.coupling)
 
 
 def test_reduced_field_density_values():
     theta, phi = 1.2, 0.7
     prep = AtomPrep(theta=theta, phi=phi)
     state = jc.evolve_resonant(prep, ZERO_FREQ, 0.9)
-    rho = jc.reduced_field_density(state).matrix
+    rho = oracles.reduced_field_density(state).matrix
     c, s, lt = math.cos(theta / 2.0), math.sin(theta / 2.0), 0.9
     assert abs(rho[0, 0] - (c * c * math.cos(lt) ** 2 + s * s)) < 1e-14
     assert abs(rho[1, 1] - c * c * math.sin(lt) ** 2) < 1e-14
@@ -211,7 +229,7 @@ def test_field_variances_match_closed_forms_on_grid():
         for phi in np.linspace(0.0, 2.0 * math.pi, 8, endpoint=False):
             prep = AtomPrep(float(theta), float(phi))
             for lt in np.linspace(0.0, 2.0 * math.pi, 8):
-                v1, v2 = jc.field_variances(prep, ZERO_FREQ, float(lt))
+                v1, v2 = oracles.field_variances(prep, ZERO_FREQ, float(lt))
                 c1, c2 = jc.closed_form_variances(prep, float(lt))
                 assert abs(v1 - c1) < 1e-12
                 assert abs(v2 - c2) < 1e-12
@@ -228,7 +246,7 @@ def test_field_variances_match_closed_forms_for_any_preparation(theta, phi, coup
     # the reduced density matrix of the closed-form joint state, read through
     # quadrature_stats, within the grid test's bound above
     prep = AtomPrep(theta, phi)
-    v1, v2 = jc.field_variances(prep, JCParams(omega0=1.7, omega=1.7, coupling=coupling), t)
+    v1, v2 = oracles.field_variances(prep, JCParams(omega0=1.7, omega=1.7, coupling=coupling), t)
     c1, c2 = jc.closed_form_variances(prep, coupling * t)
     assert abs(v1 - c1) < 1e-12
     assert abs(v2 - c2) < 1e-12
@@ -455,7 +473,7 @@ def test_transient_sweep_matches_reduced_density_oracle():
             for phi in np.linspace(0.0, 2.0 * math.pi, 6, endpoint=False):
                 prep = AtomPrep(float(theta), float(phi))
                 for t, v1, v2, db1, db2 in jc.transient_sweep(prep, params, 7.0, 23):
-                    o1, o2 = jc.field_variances(prep, params, float(t))
+                    o1, o2 = oracles.field_variances(prep, params, float(t))
                     assert abs(v1 - o1) < 1e-12
                     assert abs(v2 - o2) < 1e-12
                     assert abs(db1 - fock.variance_to_db(o1)) < 1e-12
@@ -468,8 +486,8 @@ def test_transient_sweep_builds_no_density_matrix(monkeypatch):
 
     monkeypatch.setattr(fock.FockDensity, "__post_init__", forbidden)
     monkeypatch.setattr(fock, "quadrature_stats", forbidden)
-    monkeypatch.setattr(jc, "field_variances", forbidden)
-    monkeypatch.setattr(jc, "reduced_field_density", forbidden)
+    monkeypatch.setattr(oracles, "field_variances", forbidden)
+    monkeypatch.setattr(oracles, "reduced_field_density", forbidden)
     rows = jc.transient_sweep(AtomPrep(2.0, 1.0), RESONANT, 5.0, 50)
     assert rows.shape == (50, 5)
     assert np.all(np.isfinite(rows))

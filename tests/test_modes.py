@@ -74,7 +74,7 @@ def test_emitted_mode_envelope():
     assert m.rate == gamma / 2.0  # amplitude decays at half the intensity rate
     assert m.window == math.inf
     assert m.shape == modes.EXPONENTIAL
-    assert TemporalMode(rate=1.0) == modes.exponential_mode(1.0)  # untruncated by default
+    assert TemporalMode(rate=1.0) == TemporalMode(1.0, math.inf)  # untruncated by default
     assert abs(m.amplitude(0.0) - math.sqrt(gamma)) < 1e-12
     assert abs(m.amplitude(1.0) - math.sqrt(gamma) * math.exp(-gamma / 2.0)) < 1e-12
     assert m.amplitude(-0.5) == 0.0
@@ -107,14 +107,14 @@ def test_mode_amplitude_rejects_a_nan_time(t):
 def test_mode_rejects_a_rate_whose_norm_overflows():
     # 2 * 1e308 overflows to inf, so the L2 norm is inf * 0 = NaN
     with pytest.raises(InvalidState, match="mode L2 norm is nan"):
-        modes.exponential_mode(1e308)
+        TemporalMode(1e308)
 
 
 def test_mode_validation():
     with pytest.raises(InvalidParameter):
-        modes.exponential_mode(0.0)
+        TemporalMode(0.0)
     with pytest.raises(InvalidParameter):
-        modes.exponential_mode(1.0, window=-2.0)
+        TemporalMode(1.0, window=-2.0)
 
 
 # ------------------------------------------------------------------- overlaps
@@ -144,7 +144,7 @@ def test_double_rate_lo_overlap_limit():
     # LO amplitude decaying twice as fast as the emitted envelope: 8/9 asymptotically
     gamma = 1.0
     em = modes.emitted_mode(gamma)
-    fast = modes.exponential_mode(gamma)
+    fast = TemporalMode(gamma)
     assert abs(modes.mode_overlap(em, fast) - 8.0 / 9.0) < 1e-9
 
 
@@ -165,9 +165,9 @@ def test_closed_form_overlap_matches_quadrature_oracle():
     lifetimes = (0.1, 1.0, 5.0, 20.0, math.inf)
     for ratio in (0.01, 0.3, 1.0, 2.0, 7.0):
         for wa in lifetimes:
-            em = modes.exponential_mode(gamma / 2.0, wa * TAU)
+            em = TemporalMode(gamma / 2.0, wa * TAU)
             for wb in lifetimes:
-                lo = modes.exponential_mode(ratio * gamma / 2.0, wb * TAU)
+                lo = TemporalMode(ratio * gamma / 2.0, wb * TAU)
                 assert abs(modes.mode_overlap(em, lo) - _quad_overlap(em, lo)) < 1e-12
 
 
@@ -314,7 +314,7 @@ def test_detected_variance_matches_explicit_loss_channel():
         src = SuperpositionSpec(beta_abs=beta, rel_phase=phase)
         rho = fock.to_density(superposition.make_superposition(src))
         for window, ec, ed in ((0.5, 0.94, 1.0), (5.0, 0.6, 0.8), (math.inf, 1.0, 1.0)):
-            budget = modes.detected_squeezing(src, ec, em, modes.exponential_mode(0.5, window), ed)
+            budget = modes.detected_squeezing(src, ec, em, TemporalMode(0.5, window), ed)
             v_channel = fock.quadrature_stats(fock.apply_loss(rho, budget.eta_total), phase).variance
             assert abs(v_channel - budget.detected_variance) <= 1e-12
 
