@@ -11,31 +11,39 @@ oscillator eigenfunctions in these units (vacuum variance 1/4)
     psi_0(x) = (2/pi)^{1/4} e^{-x^2},
     psi_n(x) = (2x/sqrt(n)) psi_{n-1}(x) - sqrt((n-1)/n) psi_{n-2}(x).
 
-It is evaluated as one real matrix product per block of 4,096 points.  A
-squeezed vacuum has rho_mn = 0 for every odd m - n, and loss and the phase
-rotation keep those zeros; for such a rho the product is two, on the even
-and the odd Fock block, written into the two row-strided halves of one
-product array.  That halves the multiplications, and the skipped products
-are exact zeros, which OpenBLAS's SkylakeX dgemm kernel adds without
-rounding, so the bits are those of the full product (its Haswell kernel
-sums in another order, and there the two agree to round-off only).
+It is evaluated block by block, 4,096 points to a block of psi, and each
+block's real matrix product tile by tile, at most 2^17 doubles to a tile
+(1,024 columns at n_max = 100, 2,048 at 52, the whole block at 20 and
+below).  A column of the product depends on its own column of psi alone,
+so the tiles give the bits of one product per block.  A squeezed vacuum
+has rho_mn = 0 for every odd m - n, and loss and the phase rotation keep
+those zeros; for such a rho the product is two, on the even and the odd
+Fock block, written into the two row-strided halves of the tile.  That
+halves the multiplications, and the skipped products are exact zeros,
+which OpenBLAS's SkylakeX dgemm kernel adds without rounding, so the bits
+are those of the full product (its Haswell kernel sums in another order,
+and there the two agree to round-off only).
 The CDF grid is mirror-symmetric bit for bit: np.linspace's upper half,
 and its exact negation below.  IEEE round-to-nearest is sign-symmetric, so
 the recurrence gives psi_n(-x) = (-1)^n psi_n(x) exactly, and p(-x) is the
 marginal at x of (-1)^(m+n) rho~_mn.  So the psi blocks cover the upper
 half only, and the lower half is folded from them: for a rho~ with no odd
 m - n entries that matrix is rho~ itself and p(-x) = p(x), with no second
-product; otherwise each block takes one more product, on the sign-flipped
+product; otherwise each tile takes one more product, on the sign-flipped
 matrix.  Every value is the one the full grid's product gives, bit for
 bit while psi_0(x) > 0 (|x| < 27.29; beyond, a zero may differ in sign).
-`tabulated_cdf` computes each psi block as it needs it, so it never holds
-an (n_max+1) x len(x) array of psi.  `phase_scan` computes the moments of
-each phase once, for both the support and the exact variance, and
-consecutive phases with equal supports (every n_max = 1 state has [-6, 6])
-share one grid and its list of psi blocks, (n_max+1) x 2^15 doubles, and
-every phase tabulates into one marginal and one CDF buffer.  The
-arithmetic per block is the same either way.  The kernels rotate the
-matrix and never build a state: rho~ is read, not checked again.
+`tabulated_cdf` and `marginal_density` write each psi block over the last
+in one buffer, so the working set of a tabulation is that buffer of
+(n_max+1) x 4,096 doubles, one product tile, the grid and the two 2^16
+arrays of the marginal and the CDF, each allocated once per call, none
+returned but the grid and the CDF, and none kept.  `phase_scan` computes
+the moments of each phase once, for both the support and the exact
+variance, and consecutive phases with equal supports (every n_max = 1
+state has [-6, 6]) share one grid and its list of psi blocks,
+(n_max+1) x 2^15 doubles, and every phase tabulates into one marginal and
+one CDF buffer.  The arithmetic per block is the same either way.  The
+kernels rotate the matrix and never build a state: rho~ is read, not
+checked again.
 
 Sampling inverts a trapezoid-tabulated CDF on a 2^16-point grid over
 [-w, w], w = max(6, |mean| + 6.5 sqrt(variance)) from the exact moments of
@@ -87,6 +95,7 @@ CDF_POINTS = 2**16
 MIN_HALF_WIDTH = 6.0  # every n_max = 1 state fits well inside [-6, 6]
 SUPPORT_SIGMAS = 6.5  # half-width beyond |mean| in units of the exact standard deviation
 _MARGINAL_BLOCK = 4096  # x points per psi block in the marginal
+_TILE = 2**17  # most doubles in one tile of the marginal's rho @ psi
 _DRAW_CHUNK = 2**13  # uniforms per chunk of the inverse CDF
 _GUIDE_BINS = 2**16  # most guide-table bins
 _INTERP_MAX_DRAWS = 2**14  # fewer draws than this go to np.interp in ascending order
@@ -99,64 +108,101 @@ def hermite_functions(n_max: int, x: np.ndarray) -> np.ndarray:
 
     Upward recurrence on the normalized functions; stable for every
     truncation used in this package.  It runs on x flattened, so x may have
-    any shape.  Each row is written in place from one work row, with the
-    operations of (2x / sqrt(n)) psi_{n-1} - sqrt((n-1)/n) psi_{n-2} in
-    that order, so the values are those of the plain expression, bit for bit.
+    any shape.
     """
     require_int("n_max", n_max, 0)
     x = fock._numbers(x, "x")
     shape, x = x.shape, x.ravel()
-    out = np.empty((n_max + 1, x.size))
+    return _hermite_rows(x, np.empty((n_max + 1, x.size))).reshape(n_max + 1, *shape)
+
+
+def _hermite_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """psi_0 .. psi_n on the 1-D x, written into the n+1 rows of `out`, which is returned.
+
+    Each row is written in place from one work row, with the operations of
+    (2x / sqrt(n)) psi_{n-1} - sqrt((n-1)/n) psi_{n-2} in that order, so the
+    values are those of the plain expression, bit for bit.
+    """
     out[0] = (2.0 / math.pi) ** 0.25 * np.exp(-(x**2))
-    if n_max >= 1:
+    if out.shape[0] > 1:
         two_x = 2.0 * x
         np.multiply(two_x, out[0], out=out[1])
         t = np.empty(x.size)
-        for n in range(2, n_max + 1):
+        for n in range(2, out.shape[0]):
             np.divide(two_x, math.sqrt(n), out=t)
             t *= out[n - 1]
             np.multiply(out[n - 2], math.sqrt((n - 1.0) / n), out=out[n])
             np.subtract(t, out[n], out=out[n])
-    return out.reshape(n_max + 1, *shape)
+    return out
 
 
 def _psi_blocks(n_max: int, xs: np.ndarray):
-    """hermite_functions on consecutive blocks of _MARGINAL_BLOCK points of xs."""
+    """psi_0 .. psi_n_max on consecutive blocks of _MARGINAL_BLOCK points of xs, all in one buffer.
+
+    Each block is written over the last, so a block is valid only until the
+    next one is asked for.  A short last block takes the front of the
+    buffer, so every block is C-contiguous.
+    """
+    buf = np.empty((n_max + 1) * min(_MARGINAL_BLOCK, xs.size))
     for start in range(0, xs.size, _MARGINAL_BLOCK):
-        yield hermite_functions(n_max, xs[start : start + _MARGINAL_BLOCK])
+        x = xs[start : start + _MARGINAL_BLOCK]
+        yield _hermite_rows(x, buf[: (n_max + 1) * x.size].reshape(n_max + 1, x.size))
 
 
-def _parity_product(rho: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """rho @ psi for a rho whose odd-offset blocks are zero, from its even and odd Fock blocks."""
-    prod = np.empty(psi.shape)
-    np.matmul(rho[0::2, 0::2], psi[0::2], out=prod[0::2])
-    np.matmul(rho[1::2, 1::2], psi[1::2], out=prod[1::2])
-    return prod
+def _tile_columns(dim: int) -> int:
+    """Columns of a product tile: the largest power of two, at most one block, with dim x columns <= _TILE (or 1)."""
+    return min(_MARGINAL_BLOCK, 1 << (max(1, _TILE // dim).bit_length() - 1))
+
+
+def _parity_product(rho: np.ndarray, psi: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """rho @ psi into `out`, for a rho whose odd-offset blocks are zero, from its even and odd Fock blocks."""
+    np.matmul(rho[0::2, 0::2], psi[0::2], out=out[0::2])
+    np.matmul(rho[1::2, 1::2], psi[1::2], out=out[1::2])
+    return out
 
 
 def _marginal(rho: np.ndarray, blocks, size: int, out=None, mirror=None) -> np.ndarray:
     """p(x) = sum_mn rho_mn psi_m(x) psi_n(x) for real rho, block by block, into `out` if given.
 
+    Each block's rho @ psi and its column sums run tile by tile, through one
+    product tile of dim x _tile_columns(dim) doubles allocated per call, and
+    the sums go with out= straight into the marginal: a column of the
+    product depends on its own column of psi alone, so the tiles keep every
+    bit.  Fed by _psi_blocks, a tabulation's working set is its one psi
+    buffer and this tile (3.2 MiB and 0.8 MiB at n_max = 100), the grid, and
+    the two 2^16 arrays of the marginal and the CDF.
     Where rho_mn is zero for every odd m - n, rho @ psi is two products on
     the even and the odd Fock block; the terms they skip are exact zeros.
     Given `mirror`, p(-x) goes there, point for point: psi_n(-x) is
     (-1)^n psi_n(x) exactly, so p(-x) is the marginal at x of
     (-1)^(m+n) rho_mn, which is rho itself where it splits; otherwise it
-    takes a second product per block, on that sign-flipped matrix.
+    takes a second product per tile, on that sign-flipped matrix.
     """
     vals = np.empty(size) if out is None else out
+    dim = rho.shape[0]
     split = not (rho[0::2, 1::2].any() or rho[1::2, 0::2].any())
     if not (mirror is None or split):
-        signs = (-1.0) ** np.arange(rho.shape[0])
+        signs = (-1.0) ** np.arange(dim)
         flipped = rho * np.outer(signs, signs)
+    columns = _tile_columns(dim)
+    tile = np.empty(dim * min(columns, size))
     start = 0
     for psi in blocks:
-        stop = start + psi.shape[1]
-        # each product is a temporary, freed before the next psi block is built
-        vals[start:stop] = np.einsum("mx,mx->x", psi, _parity_product(rho, psi) if split else rho @ psi)
-        if mirror is not None:
-            mirror[start:stop] = vals[start:stop] if split else np.einsum("mx,mx->x", psi, flipped @ psi)
-        start = stop
+        for lo in range(0, psi.shape[1], columns):
+            part = psi[:, lo : lo + columns]
+            at = slice(start + lo, start + lo + part.shape[1])
+            prod = tile[: part.size].reshape(part.shape)
+            if split:
+                _parity_product(rho, part, prod)
+            else:
+                np.matmul(rho, part, out=prod)
+            np.einsum("mx,mx->x", part, prod, out=vals[at])
+            if mirror is not None:
+                if split:
+                    mirror[at] = vals[at]
+                else:
+                    np.einsum("mx,mx->x", part, np.matmul(flipped, part, out=prod), out=mirror[at])
+        start += psi.shape[1]
     return vals
 
 
@@ -173,7 +219,7 @@ def marginal_density(state: fock.FockDensity, phi_lo: float):
     def density(x):
         x = fock._numbers(x, "x")
         xs = x.ravel()
-        if not np.all(np.isfinite(xs)):  # checked before hermite_functions turns them into NaN
+        if not np.all(np.isfinite(xs)):  # checked before the recurrence turns them into NaN
             raise InvalidParameter(f"marginal density needs finite x, got {float(xs[~np.isfinite(xs)][0])!r}")
         vals = _marginal(rho, _psi_blocks(n_max, xs), xs.size)
         return vals[0] if x.ndim == 0 else vals.reshape(x.shape)
@@ -469,7 +515,9 @@ def phase_scan(
         w = _half_width(stats)
         if w != half:
             half, xs = w, _grid(w)
-            basis = list(_psi_blocks(lossy.n_max, xs[CDF_POINTS // 2 :]))
+            upper = xs[CDF_POINTS // 2 :]  # the phases share the blocks, so each is an array of its own
+            starts = range(0, upper.size, _MARGINAL_BLOCK)
+            basis = [hermite_functions(lossy.n_max, upper[i : i + _MARGINAL_BLOCK]) for i in starts]
         _tabulate(lossy, phi, xs, basis, p, cdf)
         rng = np.random.Generator(np.random.Philox(streams[k]))
         est = estimate_variance(_draw(xs, cdf, n_samples, rng))

@@ -77,26 +77,37 @@ class WignerGrid:
 def _displacement_kernel(rho: np.ndarray, alpha: np.ndarray) -> np.ndarray:
     """(2/pi) sum_{mn} rho_{mn} (-1)^m <n|D(2 alpha)|m>, real part, in O(grid) memory.
 
-    The Laguerre factors depend on x = |2 alpha|^2 alone, so the recurrence
-    runs once per distinct x (590 of the 1,681 points of a 41 x 41 grid
-    centred on the origin) and each diagonal's sum is gathered back onto the
-    grid before the front factor multiplies it.  Every grid point thus goes
-    through the operations of the plain expressions, in their order, on the
-    same inputs.  The work arrays are allocated once per call.  A diagonal
-    with real coefficients (every diagonal of a squeezed vacuum, lossy or
-    not) accumulates in float64 and adds front.real * acc: the complex sum's
-    imaginary terms would all be +-0 and w starts at +0, so the bits are
-    those of the complex sum.  Complex buffers are made only when needed.
+    The Laguerre factors depend on x = |2 alpha|^2 alone, so where dim > 2
+    the recurrence runs once per distinct x (590 of the 1,681 points of a
+    41 x 41 grid centred on the origin) and each diagonal's sum is gathered
+    back onto the grid before the front factor multiplies it.  At dim <= 2
+    the recurrence is at most one step, cheaper than the np.unique that
+    would find the distinct x, so it runs on the grid itself.  Every grid
+    point thus goes through the operations of the plain expressions, in
+    their order, on the same inputs.  The work arrays are allocated once per
+    call.  A diagonal with real coefficients (every diagonal of a squeezed
+    vacuum, lossy or not) accumulates in float64 and adds front.real * acc:
+    the complex sum's imaginary terms would all be +-0 and w starts at +0,
+    so the bits are those of the complex sum.  Complex buffers are made only
+    when needed.
     """
     dim = rho.shape[0]
     b = 2.0 * alpha
     x = (b * b.conj()).real
     front = np.exp(-0.5 * x).astype(complex)  # b^d e^{-|b|^2/2} / sqrt(d!) on diagonal d
-    xu, where = np.unique(x, return_inverse=True)
-    where = where.reshape(x.shape)
+    xu, where = x, None
+    if dim > 2:
+        xu, where = np.unique(x, return_inverse=True)
+        where = where.reshape(x.shape)
     w = np.zeros(alpha.shape)
     prev, cur, t = (np.empty(xu.shape) for _ in range(3))
-    real_buffers = (np.empty(xu.shape), np.empty(xu.shape), np.empty(x.shape))
+
+    def sums(dtype):
+        """acc, term and the gather target, which is acc itself where nothing is gathered."""
+        acc = np.empty(xu.shape, dtype)
+        return acc, np.empty(xu.shape, dtype), acc if where is None else np.empty(x.shape, dtype)
+
+    real_buffers = sums(float)
     complex_buffers = None
     for d in range(dim):
         coeffs = np.diagonal(rho, d) * (-1.0) ** np.arange(dim - d)
@@ -105,9 +116,7 @@ def _displacement_kernel(rho: np.ndarray, alpha: np.ndarray) -> np.ndarray:
             if real:
                 coeffs, (acc, term, on_grid) = coeffs.real, real_buffers
             else:
-                complex_buffers = complex_buffers or (
-                    np.empty(xu.shape, complex), np.empty(xu.shape, complex), np.empty(x.shape, complex)
-                )
+                complex_buffers = complex_buffers or sums(complex)
                 acc, term, on_grid = complex_buffers
             # l_m = sqrt(m! d! / (m + d)!) L_m^{(d)}(x): l_0 = 1 and
             # l_m = [(2m - 1 + d - x) l_{m-1} - sqrt((m - 1)(m - 1 + d)) l_{m-2}] / sqrt(m (m + d))
@@ -123,7 +132,8 @@ def _displacement_kernel(rho: np.ndarray, alpha: np.ndarray) -> np.ndarray:
                 prev, cur = cur, prev
                 np.multiply(coeffs[m], cur, out=term)
                 acc += term
-            np.take(acc, where, out=on_grid)
+            if where is not None:
+                np.take(acc, where, out=on_grid)
             np.multiply(front.real if real else front, on_grid, out=on_grid)
             part = on_grid.real
             if d > 0:

@@ -18,7 +18,6 @@ import numpy as np
 from atomsqueeze import fock
 from atomsqueeze.closed_forms import AtomPrep, JCParams, _require_resonant
 from atomsqueeze.errors import require_finite, require_in, require_int
-from atomsqueeze.fock import _loss_weights
 from atomsqueeze.jaynes_cummings import JointAtomFieldState, _rotating_joint
 
 NUMERIC_N_MAX = 4  # field truncation for the integrator; exact support is n <= 1
@@ -47,10 +46,17 @@ def loss_kraus_operators(n_max: int, eta: float) -> list[np.ndarray]:
 
     K_k = sum_{n >= k} sqrt(C(n, k) eta^{n-k} (1-eta)^k) |n-k><n|,
     k = 0 .. n_max photons lost.  apply_loss does not build them: the tests
-    keep sum_k K_k rho K_k^dag as the oracle for its band sum.
+    keep sum_k K_k rho K_k^dag as the oracle for its band sum.  Each entry
+    <m|K_k|m+k> is its own expression in math, not the runtime's weights.
     """
     require_int("n_max", n_max, 1)
-    return [np.diag(s, k).astype(complex) for k, s in enumerate(_loss_weights(n_max, eta))]
+    require_in("loss transmission eta", eta, 0, 1)
+    dim = n_max + 1
+    ops = [np.zeros((dim, dim), complex) for _ in range(dim)]
+    for k, op in enumerate(ops):
+        for m in range(dim - k):
+            op[m, m + k] = math.sqrt(math.comb(m + k, k) * eta**m * (1.0 - eta) ** k)
+    return ops
 
 
 # ------------------------------------------------------------ jaynes_cummings
@@ -102,7 +108,13 @@ def reduced_field_density(state: JointAtomFieldState) -> fock.FockDensity:
 
 
 def field_variances(prep: AtomPrep, params: JCParams, t: float) -> tuple[float, float]:
-    """(Var X1, Var X2) in the rotating frame via the reduced density matrix (closed-form cross-check)."""
+    """(Var X1, Var X2) in the rotating frame via the reduced density matrix (closed-form cross-check).
+
+    It builds the joint state with the runtime's own _rotating_joint and
+    takes the moments with the runtime's quadrature_stats, so it checks the
+    closed-form variance formulas, not the amplitudes: numeric_evolve checks
+    those independently, and quadrature_stats has its own dense-trace oracle.
+    """
     _require_resonant(params, t)
     rho = reduced_field_density(_rotating_joint(prep, params.coupling * t))
     v1 = fock.quadrature_stats(rho, 0.0).variance

@@ -188,6 +188,12 @@ def test_marginal_matches_einsum_oracle(n_max):
         assert np.max(np.abs(got - _einsum_marginal(rho, phi_lo, x))) < 1e-13
 
 
+def _separate_blocks(n_max, xs):
+    """hermite_functions on consecutive blocks of _MARGINAL_BLOCK points of xs, each an array of its own."""
+    block = homodyne._MARGINAL_BLOCK
+    return [homodyne.hermite_functions(n_max, xs[i : i + block]) for i in range(0, xs.size, block)]
+
+
 def _lossy_squeezed_vacuum(n_max):
     return fock.apply_loss(fock.to_density(superposition.squeezed_vacuum(0.75, n_max)[0]), 0.7)
 
@@ -198,16 +204,22 @@ def test_parity_split_marginal_equals_the_full_product_bit_for_bit(n_max, monkey
     # pinned to; its Haswell kernel sums in another order (ROADMAP item 1)
     calls = []
     split = homodyne._parity_product
-    monkeypatch.setattr(homodyne, "_parity_product", lambda rho, psi: calls.append(1) or split(rho, psi))
+
+    def recording(rho, psi, out):
+        calls.append(psi.shape[1])
+        return split(rho, psi, out)
+
+    monkeypatch.setattr(homodyne, "_parity_product", recording)
     state = _lossy_squeezed_vacuum(n_max)
     xs = np.linspace(-9.0, 9.0, 3 * homodyne._MARGINAL_BLOCK + 5)
-    blocks = list(homodyne._psi_blocks(n_max, xs))
+    blocks = _separate_blocks(n_max, xs)
     for phi in (0.0, 0.4, math.pi / 2.0, 2.9):
         rho = fock._rotated(state.matrix, phi).real
         full = np.concatenate([np.einsum("mx,mx->x", psi, rho @ psi) for psi in blocks])
         got = homodyne._marginal(rho, blocks, xs.size)
         assert np.array_equal(got.view(np.int64), full.view(np.int64))
-    assert len(calls) == 4 * len(blocks)
+    # every column of every phase went through the split; at n_max 52 and 100 a block is 2 and 4 tiles
+    assert sum(calls) == 4 * xs.size
 
 
 def test_one_odd_offset_entry_takes_the_full_product(monkeypatch):
@@ -235,15 +247,75 @@ def test_parity_split_tabulation_peaks_no_higher_than_the_full_product():
     assert peak <= FULL_PRODUCT_CDF_PEAK_BYTES + PEAK_SLACK_BYTES
 
 
+# the traced peak of one n_max = 100 tabulated_cdf call with one psi buffer and one
+# product tile: the grid, the marginal, 101 x 4,096 psi and 101 x 1,024 product
+# doubles, and the recurrence's work rows (the full-width product peaked at 7.53 MiB)
+TILED_CDF_PEAK_BYTES = 5_417_168
+# numpy's small caches add a few KiB to the first traced call of a process
+# (3,240 bytes when this test runs alone); a second psi block would add 3.2 MiB
+FIRST_TRACE_SLACK_BYTES = 8 * 2**10
+
+
+def test_tabulation_peaks_at_one_psi_buffer_and_one_product_tile():
+    state = _lossy_squeezed_vacuum(100)
+    peak = traced_peak(lambda: homodyne.tabulated_cdf(state, 0.0))
+    assert peak <= TILED_CDF_PEAK_BYTES + FIRST_TRACE_SLACK_BYTES
+
+
+def test_a_product_tile_holds_at_most_2_17_doubles():
+    assert [homodyne._tile_columns(n + 1) for n in (1, 20, 31, 32, 52, 100)] == [4096, 4096, 4096, 2048, 2048, 1024]
+    assert homodyne._tile_columns(2**17 + 1) == 1
+
+
+TILE_STATES = [(kind, n, points) for kind in ("squeezed", "mixture") for n in (52, 100) for points in (4097, 5000)]
+
+
+def _tile_state(kind, n_max):
+    if kind == "squeezed":
+        return _lossy_squeezed_vacuum(n_max)
+    return random_mixture(np.random.default_rng(n_max), n_max)[0]
+
+
+def _one_product_per_block(rho, n_max, xs):
+    """The marginal with each block's rho @ psi as one product: the reference for the tiles."""
+    return np.concatenate([np.einsum("mx,mx->x", psi, rho @ psi) for psi in _separate_blocks(n_max, xs)])
+
+
+@pytest.mark.parametrize(("kind", "n_max", "points"), TILE_STATES)
+def test_tiled_marginal_equals_one_product_bit_for_bit(kind, n_max, points):
+    # 4,097 points: tile edges inside the first block and a one-point last
+    # block; 5,000: a last block of 904 points, shorter than one tile.  (One
+    # product over all the points is not the reference: at n_max = 100 a
+    # last block of 1-3 points takes OpenBLAS's narrow-N path, whose bits
+    # differ from those of the same columns inside a wider product.)
+    state = _tile_state(kind, n_max)
+    x = np.linspace(-9.0, 9.0, points)
+    for phi in (0.0, 0.4, 2.9):
+        want = _one_product_per_block(fock._rotated(state.matrix, phi).real, n_max, x)
+        assert np.array_equal(_bits(homodyne.marginal_density(state, phi)(x)), _bits(want)), phi
+
+
+@pytest.mark.parametrize(("kind", "n_max"), [(kind, n) for kind in ("squeezed", "mixture") for n in (52, 100)])
+def test_tiled_tabulation_equals_one_product_per_block_bit_for_bit(kind, n_max):
+    # the folded tabulation, with its mirror, against the full grid's blocks
+    state = _tile_state(kind, n_max)
+    p = np.empty(homodyne.CDF_POINTS)
+    for phi in (0.0, 0.4):
+        xs = homodyne._grid(homodyne._half_width(fock.quadrature_stats(state, phi)))
+        rho = fock._rotated(state.matrix, phi).real
+        homodyne._marginal(rho, homodyne._psi_blocks(n_max, xs[HALF:]), HALF, p[HALF:], p[HALF - 1 :: -1])
+        assert np.array_equal(_bits(p), _bits(_one_product_per_block(rho, n_max, xs))), phi
+
+
 def test_marginal_never_sees_more_than_one_block(monkeypatch):
     sizes = []
-    real = homodyne.hermite_functions
+    real = homodyne._hermite_rows
 
-    def recording(n_max, x):
+    def recording(x, out):
         sizes.append(np.size(x))
-        return real(n_max, x)
+        return real(x, out)
 
-    monkeypatch.setattr(homodyne, "hermite_functions", recording)
+    monkeypatch.setattr(homodyne, "_hermite_rows", recording)
     vec, _ = superposition.squeezed_vacuum(0.5, 20)
     homodyne.tabulated_cdf(fock.to_density(vec), 0.4)
     assert sum(sizes) == homodyne.CDF_POINTS // 2
@@ -294,10 +366,10 @@ def test_a_split_state_tabulates_a_mirror_symmetric_marginal():
 ])
 def test_tabulation_evaluates_the_basis_on_half_the_grid(state, split, products, monkeypatch):
     sizes, seen = [], Counter()
-    hermite, parity, einsum = homodyne.hermite_functions, homodyne._parity_product, np.einsum
-    monkeypatch.setattr(homodyne, "hermite_functions", lambda n, x: sizes.append(np.size(x)) or hermite(n, x))
-    monkeypatch.setattr(homodyne, "_parity_product", lambda rho, psi: seen.update(["split"]) or parity(rho, psi))
-    monkeypatch.setattr(np, "einsum", lambda *args: seen.update(["einsum"]) or einsum(*args))
+    hermite, parity, einsum = homodyne._hermite_rows, homodyne._parity_product, np.einsum
+    monkeypatch.setattr(homodyne, "_hermite_rows", lambda x, out: sizes.append(np.size(x)) or hermite(x, out))
+    monkeypatch.setattr(homodyne, "_parity_product", lambda rho, psi, o: seen.update(["split"]) or parity(rho, psi, o))
+    monkeypatch.setattr(np, "einsum", lambda *args, **kw: seen.update(["einsum"]) or einsum(*args, **kw))
     homodyne.tabulated_cdf(state, 0.4)
     assert sizes == [homodyne._MARGINAL_BLOCK] * (HALF // homodyne._MARGINAL_BLOCK)
     assert seen == Counter(split=split, einsum=products)
@@ -1107,17 +1179,17 @@ def test_phase_scan_computes_the_moments_once_per_phase(monkeypatch):
 
 
 def _hermite_calls(monkeypatch, state, n_phases):
-    """Block sizes seen by hermite_functions during one 400-draw phase_scan."""
+    """Block sizes seen by the Hermite recurrence during one 400-draw phase_scan."""
     sizes = []
-    real = homodyne.hermite_functions
+    real = homodyne._hermite_rows
 
-    def recording(n_max, x):
+    def recording(x, out):
         sizes.append(np.size(x))
-        return real(n_max, x)
+        return real(x, out)
 
-    monkeypatch.setattr(homodyne, "hermite_functions", recording)
+    monkeypatch.setattr(homodyne, "_hermite_rows", recording)
     homodyne.phase_scan(state, 1.0, 400, 3, n_phases)
-    monkeypatch.setattr(homodyne, "hermite_functions", real)
+    monkeypatch.setattr(homodyne, "_hermite_rows", real)
     return sizes
 
 

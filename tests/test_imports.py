@@ -261,3 +261,32 @@ def test_the_package_imports_nothing_from_the_tests():
     for path in SRC.glob("*.py"):
         found = _imports(ast.parse(path.read_text(encoding="utf-8")))
         assert not set().union(*(_targets(node, set()) for _, node in found)) & tests, path.name
+
+
+def _patches_and_calls_of_oracles(function: ast.FunctionDef) -> tuple[list, list]:
+    """Line numbers of the monkeypatch.setattr calls on `oracles` in a test, and of its calls of an oracle."""
+    patches, calls = [], []
+    for node in ast.walk(function):
+        if not isinstance(node, ast.Call) or not isinstance(node.func, ast.Attribute):
+            continue
+        owner = node.func.value
+        if node.func.attr == "setattr" and isinstance(owner, ast.Name) and owner.id == "monkeypatch" and node.args:
+            target = node.args[0]
+            if (isinstance(target, ast.Name) and target.id == "oracles") or (
+                isinstance(target, ast.Constant) and str(target.value).startswith("oracles.")
+            ):
+                patches.append(node.lineno)
+        elif isinstance(owner, ast.Name) and owner.id == "oracles":
+            calls.append(node.lineno)
+    return patches, calls
+
+
+def test_a_test_patches_an_oracle_only_to_call_one():
+    # the package never reaches tests/oracles.py, so a patched oracle guards
+    # something only where the test itself then calls an oracle
+    for path in sorted(Path(oracles.__file__).parent.glob("*.py")):
+        for function in ast.parse(path.read_text(encoding="utf-8")).body:
+            if isinstance(function, ast.FunctionDef):
+                patches, calls = _patches_and_calls_of_oracles(function)
+                for line in patches:
+                    assert any(call > line for call in calls), f"{path.name}:{line} patches an oracle no call reaches"

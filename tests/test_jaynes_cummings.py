@@ -486,8 +486,6 @@ def test_transient_sweep_builds_no_density_matrix(monkeypatch):
 
     monkeypatch.setattr(fock.FockDensity, "__post_init__", forbidden)
     monkeypatch.setattr(fock, "quadrature_stats", forbidden)
-    monkeypatch.setattr(oracles, "field_variances", forbidden)
-    monkeypatch.setattr(oracles, "reduced_field_density", forbidden)
     rows = jc.transient_sweep(AtomPrep(2.0, 1.0), RESONANT, 5.0, 50)
     assert rows.shape == (50, 5)
     assert np.all(np.isfinite(rows))

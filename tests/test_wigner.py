@@ -144,10 +144,29 @@ def test_kernel_equals_the_complex_accumulation_bit_for_bit(alpha):
         assert np.array_equal(got.view(np.int64), _complex_accumulation_kernel(rho, alpha).view(np.int64)), name
 
 
+@pytest.mark.parametrize("alpha", [_grid(41), _grid(201), _random_points()], ids=["41x41", "201x201", "random-points"])
+def test_two_level_kernel_runs_the_recurrence_per_point_bit_for_bit(alpha, monkeypatch):
+    # at dim 2 the recurrence is one step, so the kernel skips the np.unique
+    # dedupe and runs it on every grid point, as the complex accumulation does
+    unique = np.unique
+    calls = []
+    monkeypatch.setattr(wigner.np, "unique", lambda *a, **k: calls.append(1) or unique(*a, **k))
+    states = dict(_kernel_oracle_states())
+    for name in ("n1-rel0.0", "n1-rel1.0"):
+        got = wigner._displacement_kernel(states[name], alpha)
+        assert np.array_equal(got.view(np.int64), _complex_accumulation_kernel(states[name], alpha).view(np.int64))
+    assert calls == []
+    three_level = np.zeros((3, 3), complex)
+    three_level[2, 2] = 1.0
+    wigner._displacement_kernel(three_level, alpha)
+    assert calls == [1]
+
+
 def test_kernel_allocates_complex_buffers_only_for_a_complex_diagonal(monkeypatch):
-    """Complex work arrays are made only for a complex diagonal, and every
-    work array but the gather target holds one point per distinct
-    x = |2 alpha|^2: the recurrence runs once per radius."""
+    """Complex work arrays are made only for a complex diagonal.  Above
+    n_max = 1 every work array but the gather target holds one point per
+    distinct x = |2 alpha|^2: the recurrence runs once per radius.  At
+    n_max = 1 the recurrence runs on the grid, with no gather target."""
     made = []
     real_empty = np.empty
 
@@ -160,8 +179,12 @@ def test_kernel_allocates_complex_buffers_only_for_a_complex_diagonal(monkeypatc
     alpha = _grid(17)
     distinct = np.unique((2.0 * alpha * (2.0 * alpha).conj()).real).size
     assert distinct < alpha.size
-    real = [(distinct,)] * 5 + [alpha.shape]
-    for name, complex_buffers in (("sq-n20-lossy", []), ("n1-rel0.0", []), ("n1-rel1.0", [(distinct,)] * 2 + [alpha.shape])):
+    grid = alpha.shape
+    for name, real, complex_buffers in (
+        ("sq-n20-lossy", [(distinct,)] * 5 + [grid], []),
+        ("n1-rel0.0", [grid] * 5, []),
+        ("n1-rel1.0", [grid] * 5, [grid] * 2),
+    ):
         made.clear()
         wigner._displacement_kernel(states[name], alpha)
         assert [shape for shape, kind in made if kind == "f"] == real, name
